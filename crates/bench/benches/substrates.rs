@@ -8,7 +8,7 @@ use popk_bench::timing::bench;
 use popk_bpred::{Bimodal, DirectionPredictor, Gshare};
 use popk_cache::{Cache, CacheConfig};
 use popk_emu::Machine;
-use popk_slice::{AluSliceOp, SliceAlu, SliceBatch, SliceWidth};
+use popk_slice::{AluSliceOp, SliceAlu, SliceWidth};
 use popk_workloads::by_name;
 
 fn bench_emulator() {
@@ -100,88 +100,9 @@ fn bench_slice_alu() {
     }
 }
 
-/// Batched kernels vs the per-entry ALU at several batch sizes: the
-/// same mixed-op lane pool evaluated (a) one `SliceAlu::eval` at a
-/// time, (b) through the flat scalar `SliceBatch` kernel, and (c) —
-/// when built with `--features simd` on nightly — through the explicit
-/// `std::simd` kernel.
-fn bench_slice_batch() {
-    const OPS: [AluSliceOp; 8] = [
-        AluSliceOp::Add,
-        AluSliceOp::Sub,
-        AluSliceOp::And,
-        AluSliceOp::Or,
-        AluSliceOp::Xor,
-        AluSliceOp::Add,
-        AluSliceOp::Slt,
-        AluSliceOp::Sltu,
-    ];
-    let width = SliceWidth::W8;
-    let lanes: Vec<(AluSliceOp, u32, u32)> = (0..4096u32)
-        .map(|i| {
-            let a = i.wrapping_mul(2654435761);
-            let b = a.rotate_left(13) ^ 0x5bd1_e995;
-            (OPS[(i % 8) as usize], a, b)
-        })
-        .collect();
-    let total = lanes.len() as u64;
-
-    for n in [1usize, 4, 16, 64] {
-        let alu = SliceAlu::new(width);
-        let s = bench(&format!("slice_batch/scalar_per_entry/n{n}"), 20, || {
-            let mut acc = 0u32;
-            for chunk in lanes.chunks(n) {
-                for &(op, a, b) in chunk {
-                    acc ^= alu.eval(op, a, b).join();
-                }
-            }
-            acc
-        });
-        println!("  -> {:.1} M lanes/s", s.elems_per_sec(total) / 1e6);
-
-        let mut batch = SliceBatch::new(width);
-        let mut out = Vec::new();
-        let s = bench(&format!("slice_batch/batch_kernel/n{n}"), 20, || {
-            let mut acc = 0u32;
-            for chunk in lanes.chunks(n) {
-                batch.clear();
-                for &(op, a, b) in chunk {
-                    batch.push(op, a, b);
-                }
-                batch.eval_into_scalar(&mut out);
-                for &v in &out {
-                    acc ^= v;
-                }
-            }
-            acc
-        });
-        println!("  -> {:.1} M lanes/s", s.elems_per_sec(total) / 1e6);
-
-        #[cfg(feature = "simd")]
-        {
-            let s = bench(&format!("slice_batch/simd_kernel/n{n}"), 20, || {
-                let mut acc = 0u32;
-                for chunk in lanes.chunks(n) {
-                    batch.clear();
-                    for &(op, a, b) in chunk {
-                        batch.push(op, a, b);
-                    }
-                    batch.eval_into_simd(&mut out);
-                    for &v in &out {
-                        acc ^= v;
-                    }
-                }
-                acc
-            });
-            println!("  -> {:.1} M lanes/s", s.elems_per_sec(total) / 1e6);
-        }
-    }
-}
-
 fn main() {
     bench_emulator();
     bench_cache();
     bench_predictors();
     bench_slice_alu();
-    bench_slice_batch();
 }

@@ -34,8 +34,8 @@ pub struct Cli {
     /// (binaries honouring this flag exit nonzero on divergence).
     pub oracle: bool,
     /// Resume an interrupted sweep from its journal (`.popk/`): completed
-    /// rows are replayed from the journal, the interrupted row restarts
-    /// from its last checkpoint. Without the flag any stale journal for
+    /// rows are replayed from the journal, the interrupted row reruns
+    /// from instruction zero. Without the flag any stale journal for
     /// the sweep is discarded and the run starts clean.
     pub resume: bool,
 }

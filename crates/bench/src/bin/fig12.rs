@@ -6,8 +6,8 @@
 //! [instr_budget] [--json] [--threads N] [--resume]`
 //!
 //! The sweep is journaled under `.popk/`: with `--resume` a run killed
-//! mid-sweep replays its completed rows from the journal and restarts
-//! the interrupted row from its last checkpoint. Fig. 12 shares Fig. 11's
+//! mid-sweep replays its completed rows from the journal and reruns the
+//! interrupted row from instruction zero. Fig. 12 shares Fig. 11's
 //! simulation grid but journals under its own name, so the two sweeps
 //! never clobber each other's recovery state.
 

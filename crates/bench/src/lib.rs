@@ -34,13 +34,12 @@ pub use cache::{ArtifactCache, JobKey, CACHE_SCHEMA_VERSION};
 pub use journal::{SweepJournal, JOURNAL_VERSION};
 pub use pool::JobFailure;
 pub use reports::{
-    ablations_report, ablations_report_journaled, compare_report, fig11_report,
-    fig11_report_journaled, fig12_report, fig12_report_journaled, rv32_report, rv32_report_with,
-    table1_report, table1_report_journaled, table1_report_with, Report,
+    ablations_report_journaled, compare_report, fig11_report_journaled, fig12_report_journaled,
+    rv32_report_with, table1_report_journaled, Report,
 };
 pub use runners::{
-    arg_limit, compare, fig11, fig11_journaled, fig12_from, fig2, fig4, fig6, parse_config,
-    rv32_configs, rv32_sweep, set_poisoned_workload, table1, table1_journaled, Fig11Column,
-    Fig11Data, Rv32Row, SweepFailure, Table1Row, DEFAULT_LIMIT,
+    arg_limit, compare, fig11_journaled, fig12_from, fig2, fig4, fig6, parse_config, rv32_configs,
+    rv32_sweep, set_poisoned_workload, table1_journaled, Fig11Column, Fig11Data, Rv32Row,
+    SweepFailure, Table1Row, DEFAULT_LIMIT,
 };
 pub use serve::{Client, ClientError, RetryPolicy, ServeConfig, Server, PROTOCOL_VERSION};

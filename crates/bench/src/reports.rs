@@ -89,22 +89,13 @@ fn programs_for(names: &[&str], threads: usize) -> Vec<Program> {
 // ---- Table 1 ---------------------------------------------------------------
 
 /// Build the Table 1 report (baseline characteristics, ideal machine).
-pub fn table1_report(limit: u64, threads: usize) -> Report {
-    table1_report_with(limit, threads, false)
-}
-
-/// [`table1_report`] with the commit-time oracle lockstep toggled: with
-/// `oracle` set every run cross-checks the timing pipeline against the
-/// functional machine at retirement, and any divergence becomes that
-/// row's failure.
-pub fn table1_report_with(limit: u64, threads: usize, oracle: bool) -> Report {
-    table1_report_journaled(limit, threads, oracle, None)
-}
-
-/// [`table1_report_with`] behind a sweep journal (`--resume`):
-/// completed rows replay from recorded counters, interrupted rows
-/// restart from their last checkpoint. The report and artifact are
-/// byte-identical to an uninterrupted run's.
+///
+/// With `oracle` set every run cross-checks the timing pipeline against
+/// the functional machine at retirement, and any divergence becomes
+/// that row's failure. With a `journal` (`--resume`), completed rows
+/// replay from recorded counters and the rest run from instruction
+/// zero; the report and artifact are byte-identical to an
+/// uninterrupted run's.
 pub fn table1_report_journaled(
     limit: u64,
     threads: usize,
@@ -318,13 +309,9 @@ fn fig11_report_from(data: &Fig11Data, limit: u64) -> Report {
     }
 }
 
-/// Build the Fig. 11 report, running the sweep on `threads` workers.
-pub fn fig11_report(limit: u64, threads: usize) -> Report {
-    fig11_report_journaled(limit, threads, None)
-}
-
-/// [`fig11_report`] behind a sweep journal (`--resume`): each of the
-/// 143 sweep jobs is a journaled row.
+/// Build the Fig. 11 report, running the sweep on `threads` workers;
+/// with a `journal` (`--resume`) each of the 143 sweep jobs is a
+/// journaled row.
 pub fn fig11_report_journaled(
     limit: u64,
     threads: usize,
@@ -344,13 +331,8 @@ const FIG12_TECHS: [&str; 5] = [
 ];
 
 /// Build the Fig. 12 report (per-technique speedup contributions),
-/// running the Fig. 11 sweep it derives from on `threads` workers.
-pub fn fig12_report(limit: u64, threads: usize) -> Report {
-    fig12_report_journaled(limit, threads, None)
-}
-
-/// [`fig12_report`] behind a sweep journal (`--resume`): the Fig. 11
-/// sweep it derives from runs journaled.
+/// running the Fig. 11 sweep it derives from on `threads` workers —
+/// journaled when a `journal` (`--resume`) is given.
 pub fn fig12_report_journaled(
     limit: u64,
     threads: usize,
@@ -461,11 +443,8 @@ fn journaled_section(
 /// Build the ablations report (sweeps A–H beyond the paper's figures),
 /// fanning each section's (workload × parameter) jobs across `threads`
 /// workers.
-pub fn ablations_report(limit: u64, threads: usize) -> Report {
-    ablations_report_journaled(limit, threads, None)
-}
-
-/// [`ablations_report`] behind a sweep journal (`--resume`), at section
+///
+/// With a `journal` (`--resume`) the report is journaled at section
 /// granularity: each of the eight sections A–H is one journal row whose
 /// payload carries the section's exact text and artifact value, so a
 /// resumed run replays finished sections and re-runs only the
@@ -1050,13 +1029,9 @@ pub fn compare_report(a_name: &str, b_name: &str, limit: u64, threads: usize) ->
 /// Build the RV32 sweep report: per-workload IPC across the
 /// configuration ladder of [`runners::rv32_configs`], through the same
 /// timing core as the PISA suite via the ISA-neutral frontend boundary.
-pub fn rv32_report(limit: u64, threads: usize) -> Report {
-    rv32_report_with(limit, threads, false)
-}
-
-/// [`rv32_report`] with the commit-time oracle lockstep toggled: with
-/// `oracle` set every run replays the RV32 functional machine against
-/// the commit stream, and any divergence becomes that row's failure.
+/// With `oracle` set every run replays the RV32 functional machine
+/// against the commit stream, and any divergence becomes that row's
+/// failure.
 pub fn rv32_report_with(limit: u64, threads: usize, oracle: bool) -> Report {
     let mut text = String::new();
     say!(
@@ -1169,7 +1144,7 @@ mod tests {
 
     #[test]
     fn table1_report_shape() {
-        let rep = table1_report(5_000, 2);
+        let rep = table1_report_journaled(5_000, 2, false, None);
         assert!(rep.text.contains("geometric-mean IPC"));
         assert_eq!(
             rep.artifact.json().get("figure"),

@@ -503,13 +503,15 @@ fn recover_jobs(shared: &Arc<Shared>, pending: &[Json]) {
         if inflight.contains_key(&digest) {
             continue;
         }
+        // Count the job before a worker can dequeue (and uncount) it.
+        shared.queue_depth.fetch_add(1, Ordering::Relaxed);
         match shared.queue.try_send(job.clone()) {
             Ok(()) => {
-                shared.queue_depth.fetch_add(1, Ordering::Relaxed);
                 inflight.insert(digest, job);
                 shared.recovered.fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
+                shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
                 eprintln!(
                     "warning: recovery queue full; job {digest} stays journaled \
                      for the next restart"
@@ -821,12 +823,18 @@ fn handle_submit(shared: &Arc<Shared>, conn: &Arc<Conn>, req: &Json, tag: Option
         cancel: Arc::new(AtomicBool::new(false)),
         detached: false,
     });
-    match shared.queue.try_send(job.clone()) {
+    // Count the job before a worker can dequeue (and uncount) it, so the
+    // gauge never dips below zero; a failed send takes the count back.
+    shared.queue_depth.fetch_add(1, Ordering::Relaxed);
+    let sent = shared.queue.try_send(job.clone());
+    if sent.is_err() {
+        shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+    }
+    match sent {
         Ok(()) => {
             // Journal before the job becomes runnable: if the process
             // dies mid-simulation, restart recovery re-enqueues it.
             shared.journal.record_job(&digest, &journal_spec(req));
-            shared.queue_depth.fetch_add(1, Ordering::Relaxed);
             inflight.insert(digest.clone(), job);
             // Send `accepted` before releasing the lock: a worker
             // cannot deliver this job's result until it can remove the

@@ -9,7 +9,7 @@
 //! depend on the worker count at all. These tests pin that property
 //! through the same report builders the binaries use.
 
-use popk_bench::{ablations_report, table1_report, Report};
+use popk_bench::{ablations_report_journaled, table1_report_journaled, Report};
 
 const BUDGET: u64 = 20_000;
 
@@ -24,8 +24,8 @@ fn artifact_bytes(rep: Report) -> String {
 
 #[test]
 fn table1_threads1_equals_threads4() {
-    let serial = artifact_bytes(table1_report(BUDGET, 1));
-    let pooled = artifact_bytes(table1_report(BUDGET, 4));
+    let serial = artifact_bytes(table1_report_journaled(BUDGET, 1, false, None));
+    let pooled = artifact_bytes(table1_report_journaled(BUDGET, 4, false, None));
     assert!(
         serial == pooled,
         "table1 artifact differs between --threads 1 and --threads 4"
@@ -35,8 +35,8 @@ fn table1_threads1_equals_threads4() {
 
 #[test]
 fn ablations_threads1_equals_threads4() {
-    let serial = ablations_report(BUDGET, 1);
-    let pooled = ablations_report(BUDGET, 4);
+    let serial = ablations_report_journaled(BUDGET, 1, None);
+    let pooled = ablations_report_journaled(BUDGET, 4, None);
     // The printed report must match too — it is assembled from the same
     // submission-ordered results.
     assert!(

@@ -412,7 +412,7 @@ pub struct CheckpointPlan {
     /// (0 = never; useful for verify-only resume runs).
     pub interval: u64,
     /// Receives each emitted checkpoint. The sink owns persistence —
-    /// typically [`Checkpoint::save`] to a journal-owned path.
+    /// typically [`Checkpoint::save`] to a file.
     pub sink: Option<Box<dyn FnMut(Checkpoint) + Send>>,
     /// A previously saved checkpoint to resume from: the run replays
     /// deterministically from instruction 0 and, at this checkpoint's

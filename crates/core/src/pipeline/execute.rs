@@ -505,40 +505,6 @@ impl<I: UopInsn, S: TraceSink<I>> Simulator<S, I> {
         let seq = self.window.seq(idx);
         self.window.set_completed_at(idx, CycleSlot::at(done));
         emit!(self, TraceEvent::Completed { seq, at: done });
-        // Debug datapath check: queue this op's operands as a batch
-        // lane; the cycle's lanes evaluate together in
-        // `check_slice_batch`. Skipped under fault injection, whose
-        // corrupted operands legitimately diverge from the trace.
-        #[cfg(debug_assertions)]
-        if self.fault.is_none() {
-            if let Some((op, a, b)) = I::alu_lane(self.window.rec(idx)) {
-                self.dbg_batch.push(op, a, b);
-                self.dbg_batch_expect.push(self.window.rec(idx).results[0]);
-            }
-        }
-    }
-
-    /// Flush the cycle's completed sliced ALU ops through the batched
-    /// kernels ([`popk_slice::SliceBatch`]) and check every lane against
-    /// the traced result. Debug builds only: the release machine is
-    /// timing-only and computes no operand values.
-    #[cfg(debug_assertions)]
-    pub(crate) fn check_slice_batch(&mut self) {
-        if self.dbg_batch.is_empty() {
-            return;
-        }
-        let mut out = std::mem::take(&mut self.dbg_batch_out);
-        self.dbg_batch.eval_into(&mut out);
-        for (i, (got, want)) in out.iter().zip(&self.dbg_batch_expect).enumerate() {
-            assert_eq!(
-                got, want,
-                "batched slice kernel diverged from the trace at lane {i}, cycle {}",
-                self.cycle
-            );
-        }
-        self.dbg_batch_out = out;
-        self.dbg_batch.clear();
-        self.dbg_batch_expect.clear();
     }
 }
 

@@ -64,10 +64,6 @@ impl<I: UopInsn, S: TraceSink<I>> Simulator<S, I> {
             }
         }
         self.sched.recycle(cands);
-        // Everything that finished this cycle ran through the batched
-        // slice kernels together (debug builds only).
-        #[cfg(debug_assertions)]
-        self.check_slice_batch();
     }
 
     /// Examine one window entry for issue progress — the body of the

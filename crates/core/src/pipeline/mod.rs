@@ -160,18 +160,6 @@ pub struct Simulator<S = NullTrace, I = Insn> {
     /// polls it every 1024 cycles and returns
     /// [`SimError::Canceled`](crate::SimError) when set.
     pub(crate) cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// Debug-build datapath check: sliced ALU ops completing in a cycle
-    /// are collected as lanes and cross-checked through the batched
-    /// slice kernels against the traced results (release builds carry
-    /// no values — the fields and the check compile out).
-    #[cfg(debug_assertions)]
-    pub(crate) dbg_batch: popk_slice::SliceBatch,
-    /// Expected (traced) result per collected lane.
-    #[cfg(debug_assertions)]
-    pub(crate) dbg_batch_expect: Vec<u32>,
-    /// Reused output buffer for the batch check.
-    #[cfg(debug_assertions)]
-    pub(crate) dbg_batch_out: Vec<u32>,
 }
 
 impl<I: UopInsn, S: TraceSink<I>> Simulator<S, I> {
@@ -214,12 +202,6 @@ impl<I: UopInsn, S: TraceSink<I>> Simulator<S, I> {
             error: None,
             last_commit_cycle: 0,
             cancel: None,
-            #[cfg(debug_assertions)]
-            dbg_batch: popk_slice::SliceBatch::new(cfg.slicing),
-            #[cfg(debug_assertions)]
-            dbg_batch_expect: Vec::new(),
-            #[cfg(debug_assertions)]
-            dbg_batch_out: Vec::new(),
         }
     }
 

@@ -9,7 +9,6 @@
 //! `popk_trace::pisa` is for the native ISA.
 
 use popk_isa::{BranchCond, SliceClass};
-use popk_slice::AluSliceOp;
 use popk_trace::{CtrlKind, ExecClass, LatClass, RegList, Uop, UopInsn, UopMeta};
 use std::fmt;
 
@@ -330,45 +329,6 @@ impl UopInsn for Rv32Insn {
             rec.src_val(rec.insn.rs1).unwrap_or(0),
             rec.src_val(rec.insn.rs2).unwrap_or(0),
         )
-    }
-
-    fn alu_lane(rec: &Uop<Rv32Insn>) -> Option<(AluSliceOp, u32, u32)> {
-        use AluSliceOp as A;
-        use Rv32Op::*;
-        let insn = rec.insn;
-        if !insn.writes_rd() {
-            return None;
-        }
-        let imm = insn.imm as u32;
-        let rs1 = || rec.src_val(insn.rs1).unwrap_or(0);
-        let rs2 = || rec.src_val(insn.rs2).unwrap_or(0);
-        Some(match insn.op {
-            Add => (A::Add, rs1(), rs2()),
-            Sub => (A::Sub, rs1(), rs2()),
-            Slt => (A::Slt, rs1(), rs2()),
-            Sltu => (A::Sltu, rs1(), rs2()),
-            And => (A::And, rs1(), rs2()),
-            Or => (A::Or, rs1(), rs2()),
-            Xor => (A::Xor, rs1(), rs2()),
-            Addi => (A::Add, rs1(), imm),
-            Slti => (A::Slt, rs1(), imm),
-            Sltiu => (A::Sltu, rs1(), imm),
-            Andi => (A::And, rs1(), imm),
-            Ori => (A::Or, rs1(), imm),
-            Xori => (A::Xor, rs1(), imm),
-            // U-format immediates are stored pre-shifted; OR-with-zero
-            // routes lui through the logic slices, and auipc is a plain
-            // add of the (architecturally visible) fetch PC.
-            Lui => (A::Or, 0, imm),
-            Auipc => (A::Add, rec.pc, imm),
-            Sll => (A::Sll, rs1(), rs2()),
-            Srl => (A::Srl, rs1(), rs2()),
-            Sra => (A::Sra, rs1(), rs2()),
-            Slli => (A::Sll, rs1(), imm),
-            Srli => (A::Srl, rs1(), imm),
-            Srai => (A::Sra, rs1(), imm),
-            _ => return None,
-        })
     }
 }
 

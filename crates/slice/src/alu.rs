@@ -241,9 +241,27 @@ mod tests {
         })
     }
 
+    /// Pinned compare and carry traps: equality, signed MAX/MIN
+    /// straddles, −1 vs 0, and full-width carry/borrow chains.
+    const TRAPS: [(u32, u32); 13] = [
+        (0, 0),
+        (5, 5),
+        (4, 5),
+        (5, 4),
+        (0x7fff_ffff, 0x8000_0000),
+        (0x8000_0000, 0x7fff_ffff),
+        (0xffff_ffff, 0),
+        (0, 0xffff_ffff),
+        (0x8000_0000, 0x8000_0000),
+        (1, 0xffff_ffff),
+        (0xffff_ffff, 1),
+        (0x0101_0101, 0x0101_0101),
+        (0x00ff_00ff, 0x0001_0001),
+    ];
+
     #[test]
     fn sliced_matches_full() {
-        for (a, b) in operand_pairs(0xa1, 2048) {
+        for (a, b) in operand_pairs(0xa1, 2048).chain(TRAPS) {
             for w in WIDTHS {
                 let alu = SliceAlu::new(w);
                 for op in OPS {

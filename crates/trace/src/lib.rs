@@ -28,7 +28,6 @@
 pub mod pisa;
 
 use popk_isa::{BranchCond, SliceClass};
-use popk_slice::AluSliceOp;
 use std::fmt;
 
 /// One retired dynamic instruction, ISA-neutral: the unit of exchange
@@ -36,10 +35,10 @@ use std::fmt;
 ///
 /// `I` is the ISA's static instruction type (a [`UopInsn`]); the
 /// remaining fields are the *dynamic* facts the paper's techniques
-/// consult — operand values (for slice-wise branch refutation and the
-/// debug-mode sliced-ALU cross-check), results (for narrow-operand
-/// detection and oracle lockstep), the effective address (partial
-/// disambiguation and tag match), and the control outcome.
+/// consult — operand values (for slice-wise branch refutation),
+/// results (for narrow-operand detection and oracle lockstep), the
+/// effective address (partial disambiguation and tag match), and the
+/// control outcome.
 #[derive(Clone, Copy, Debug)]
 pub struct Uop<I> {
     /// Program counter.
@@ -233,11 +232,6 @@ pub trait UopInsn: Copy + fmt::Debug + fmt::Display + 'static {
     /// for anything else): what slice-wise misprediction detection
     /// inspects.
     fn branch_cmp(rec: &Uop<Self>) -> (u32, u32);
-
-    /// If this instruction maps onto one sliced-ALU lane, the op and
-    /// full-width operands to cross-check `results[0]` against (the
-    /// debug-build sliced-datapath validation).
-    fn alu_lane(rec: &Uop<Self>) -> Option<(AluSliceOp, u32, u32)>;
 }
 
 /// A functional-emulation fault while producing a trace.

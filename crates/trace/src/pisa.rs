@@ -8,7 +8,6 @@
 
 use crate::{CtrlKind, ExecClass, LatClass, RegList, Uop, UopInsn, UopMeta};
 use popk_isa::{Insn, Op, OpClass, Reg, SliceClass};
-use popk_slice::AluSliceOp;
 
 impl Uop<Insn> {
     /// The value of source register `r`, if this instruction reads it.
@@ -108,44 +107,6 @@ impl UopInsn for Insn {
 
     fn branch_cmp(rec: &Uop<Insn>) -> (u32, u32) {
         (rec.src_vals[0], rec.src_val(rec.insn.rt()).unwrap_or(0))
-    }
-
-    fn alu_lane(rec: &Uop<Insn>) -> Option<(AluSliceOp, u32, u32)> {
-        use AluSliceOp as A;
-        let insn = rec.insn;
-        let def = insn.defs().iter().next()?;
-        if def.is_zero() {
-            return None;
-        }
-        let imm = insn.imm() as u32;
-        let rs = || rec.src_val(insn.rs()).unwrap_or(0);
-        let rt = || rec.src_val(insn.rt()).unwrap_or(0);
-        Some(match insn.op() {
-            Op::Add | Op::Addu => (A::Add, rs(), rt()),
-            Op::Sub | Op::Subu => (A::Sub, rs(), rt()),
-            Op::Slt => (A::Slt, rs(), rt()),
-            Op::Sltu => (A::Sltu, rs(), rt()),
-            Op::And => (A::And, rs(), rt()),
-            Op::Or => (A::Or, rs(), rt()),
-            Op::Xor => (A::Xor, rs(), rt()),
-            Op::Nor => (A::Nor, rs(), rt()),
-            Op::Addi | Op::Addiu => (A::Add, rs(), imm),
-            Op::Slti => (A::Slt, rs(), imm),
-            Op::Sltiu => (A::Sltu, rs(), imm),
-            Op::Andi => (A::And, rs(), imm),
-            Op::Ori => (A::Or, rs(), imm),
-            Op::Xori => (A::Xor, rs(), imm),
-            // lui's immediate is pre-shifted by the assembler; OR-with-zero
-            // routes it through the logic slices.
-            Op::Lui => (A::Or, 0, imm),
-            Op::Sll => (A::Sll, rt(), imm),
-            Op::Srl => (A::Srl, rt(), imm),
-            Op::Sra => (A::Sra, rt(), imm),
-            Op::Sllv => (A::Sll, rt(), rs()),
-            Op::Srlv => (A::Srl, rt(), rs()),
-            Op::Srav => (A::Sra, rt(), rs()),
-            _ => return None,
-        })
     }
 }
 

@@ -529,7 +529,7 @@ fn kill9_mid_sweep_then_resume_reproduces_the_clean_artifact() {
     let killed_mid_run = !crash_dir.join("BENCH_table1.json").exists();
 
     // Resume: completed rows replay from the journal, the interrupted
-    // row restarts (from its checkpoint when one landed).
+    // row reruns from instruction zero.
     let status = spawn_sweep(&crash_dir, true).wait().expect("resume run");
     assert!(status.success(), "resumed sweep failed");
     let resumed = sweep_outputs(&crash_dir);

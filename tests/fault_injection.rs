@@ -197,7 +197,7 @@ fn poisoned_sweep_job_still_emits_a_complete_artifact() {
     // the failure into the artifact's `failures` array plus a per-row
     // error entry, and leave every other row intact.
     popk_bench::set_poisoned_workload(Some("gcc"));
-    let rep = popk_bench::table1_report_with(5_000, 2, false);
+    let rep = popk_bench::table1_report_journaled(5_000, 2, false, None);
     popk_bench::set_poisoned_workload(None);
 
     assert_eq!(rep.failures, 1);
@@ -220,7 +220,7 @@ fn poisoned_sweep_job_still_emits_a_complete_artifact() {
 
     // A healthy sweep afterwards: no failures key at all, so committed
     // artifact bodies are unchanged by the robustness machinery.
-    let rep = popk_bench::table1_report_with(5_000, 2, false);
+    let rep = popk_bench::table1_report_journaled(5_000, 2, false, None);
     assert_eq!(rep.failures, 0);
     assert!(rep.artifact.json().get("failures").is_none());
 }

@@ -400,3 +400,52 @@ fn full_queue_rejects_with_backpressure() {
     assert!(completed >= 1, "accepted jobs still finish: {outcomes:?}");
     assert_eq!(rejected + completed, 6);
 }
+
+#[test]
+fn queue_depth_gauge_stays_within_capacity_under_a_burst() {
+    const CAPACITY: u64 = 6;
+    let ts = TestServer::start("queue-depth", |cfg| {
+        cfg.workers = 1;
+        cfg.queue_capacity = CAPACITY as usize;
+    });
+    let addr = ts.server.as_ref().unwrap().local_addr().to_string();
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let readings = std::thread::scope(|scope| {
+        let poller = scope.spawn(|| {
+            let mut c = Client::connect(&addr).expect("connect");
+            let mut stats_req = Json::object();
+            stats_req.set("op", "stats".into());
+            let mut readings = Vec::new();
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                let stats = c.request(&stats_req).expect("stats");
+                readings.push(stats.get("queue_depth").and_then(Json::as_u64));
+            }
+            readings
+        });
+        // Bursts that fit the queue, so nothing is rejected; between
+        // rounds the worker idles, so each burst's first job meets a
+        // worker already waiting to dequeue it.
+        let mut client = Client::connect(&addr).expect("connect");
+        for round in 0..4u64 {
+            for i in 0..CAPACITY {
+                let mut req = submit_req("gzip", "slice2", 5_000, &format!("q{round}-{i}"));
+                req.set("seed", Json::from(round * 100 + i));
+                client.send(&req).expect("send");
+            }
+            for _ in 0..CAPACITY {
+                let (terminal, _) = client.recv_until(&["result"]).expect("stream");
+                assert_eq!(response_type(&terminal), "result", "{terminal}");
+            }
+        }
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        poller.join().expect("poller")
+    });
+    assert!(!readings.is_empty(), "the gauge was never read");
+    for depth in readings {
+        let depth = depth.expect("stats reports queue_depth");
+        assert!(
+            depth <= CAPACITY,
+            "queue_depth {depth} > capacity {CAPACITY}"
+        );
+    }
+}
