@@ -8,6 +8,7 @@
 //! The schema is documented in `EXPERIMENTS.md`; bump [`SCHEMA_VERSION`]
 //! on any incompatible shape change.
 
+use crate::SweepJournal;
 use popk_core::{Json, SimStats, StatsRegistry};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -78,6 +79,13 @@ impl Cli {
             }
         }
         cli
+    }
+
+    /// Open the sweep journal for `figure` under `.popk/`, pinned to
+    /// this invocation's budget and `params` and replayed under
+    /// `--resume`.
+    pub fn journal(&self, figure: &str, params: &str) -> SweepJournal {
+        SweepJournal::open(Path::new(".popk"), figure, self.limit, params, self.resume)
     }
 }
 

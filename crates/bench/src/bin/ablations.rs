@@ -17,19 +17,12 @@
 //! `--resume` a run killed mid-sweep replays its finished sections from
 //! the journal and re-runs only the interrupted one.
 
-use popk_bench::{ablations_report_journaled, Cli, HostMeter, SweepJournal};
-use std::path::Path;
+use popk_bench::{ablations_report_journaled, Cli, HostMeter};
 
 fn main() {
     let cli = Cli::parse();
-    let journal = SweepJournal::open(Path::new(".popk"), "ablations", cli.limit, "", cli.resume);
+    let journal = cli.journal("ablations", "");
     let meter = HostMeter::start(cli.threads);
-    let mut rep = ablations_report_journaled(cli.limit, cli.threads, Some(&journal));
-    print!("{}", rep.text);
-    println!("{}", meter.summary());
-    if cli.json {
-        rep.artifact.set("host", meter.host_json());
-        rep.artifact.emit();
-    }
-    journal.finish();
+    let rep = ablations_report_journaled(cli.limit, cli.threads, Some(&journal));
+    rep.finish(&cli, &meter, Some(&journal));
 }

@@ -22,17 +22,9 @@ fn main() {
     let b_name = names.get(1).map(String::as_str).unwrap_or("ideal");
 
     let meter = HostMeter::start(cli.threads);
-    let Some(mut rep) = compare_report(a_name, b_name, cli.limit, cli.threads) else {
+    let Some(rep) = compare_report(a_name, b_name, cli.limit, cli.threads) else {
         eprintln!("unknown config (try: ideal simple2 simple4 slice2 slice4 slice2-3 ext2 …)");
         std::process::exit(1);
     };
-    print!("{}", rep.text);
-    println!("{}", meter.summary());
-    if cli.json {
-        rep.artifact.set("host", meter.host_json());
-        rep.artifact.emit();
-    }
-    if rep.failures > 0 {
-        std::process::exit(1);
-    }
+    rep.finish(&cli, &meter, None);
 }

@@ -11,22 +11,12 @@
 //! simulation grid but journals under its own name, so the two sweeps
 //! never clobber each other's recovery state.
 
-use popk_bench::{fig12_report_journaled, Cli, HostMeter, SweepJournal};
-use std::path::Path;
+use popk_bench::{fig12_report_journaled, Cli, HostMeter};
 
 fn main() {
     let cli = Cli::parse();
-    let journal = SweepJournal::open(Path::new(".popk"), "fig12", cli.limit, "", cli.resume);
+    let journal = cli.journal("fig12", "");
     let meter = HostMeter::start(cli.threads);
-    let mut rep = fig12_report_journaled(cli.limit, cli.threads, Some(&journal));
-    print!("{}", rep.text);
-    println!("{}", meter.summary());
-    if cli.json {
-        rep.artifact.set("host", meter.host_json());
-        rep.artifact.emit();
-    }
-    if rep.failures > 0 {
-        std::process::exit(1);
-    }
-    journal.finish();
+    let rep = fig12_report_journaled(cli.limit, cli.threads, Some(&journal));
+    rep.finish(&cli, &meter, Some(&journal));
 }

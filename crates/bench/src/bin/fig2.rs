@@ -1,22 +1,28 @@
 //! Reproduce **Figure 2**: early load-store disambiguation categories vs.
 //! cumulative address bits compared (from bit 2), 32-entry unified LSQ,
-//! for bzip and gcc (pass extra workload names as later CLI args).
+//! for bzip and gcc by default, or for the workloads named on the
+//! command line.
 //!
-//! Usage: `cargo run --release -p popk-bench --bin fig2 [instr_budget] [names…]`
-
-#![allow(clippy::useless_vec)] // row! builds Vec rows; headers reuse it
+//! Usage: `cargo run --release -p popk-bench --bin fig2
+//! [instr_budget] [names…]`, in any order.
 
 use popk_bench::fmt::render;
-use popk_bench::{arg_limit, fig2};
+use popk_bench::{fig2, Cli};
 use popk_characterize::DisambigCategory;
+use popk_workloads::by_name;
 
 fn main() {
-    let limit = arg_limit();
-    let extra: Vec<String> = std::env::args().skip(2).collect();
-    let names: Vec<&str> = if extra.is_empty() {
+    let limit = Cli::parse().limit;
+    // Workload names are the arguments the registry recognises ([`Cli`]
+    // already took the budget and ignores every other word).
+    let named: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| by_name(a).is_some())
+        .collect();
+    let names: Vec<&str> = if named.is_empty() {
         vec!["bzip", "gcc"]
     } else {
-        extra.iter().map(|s| s.as_str()).collect()
+        named.iter().map(String::as_str).collect()
     };
 
     println!("Figure 2: early load-store disambiguation ({limit} instructions, 32-entry LSQ)\n");

@@ -5,11 +5,11 @@
 //! Usage: `cargo run --release -p popk-bench --bin fig4 [instr_budget]`
 
 use popk_bench::fmt::render;
-use popk_bench::{arg_limit, fig4};
+use popk_bench::{fig4, Cli};
 use popk_characterize::TagCategory;
 
 fn main() {
-    let limit = arg_limit();
+    let limit = Cli::parse().limit;
     println!("Figure 4: partial tag matching ({limit} instructions)\n");
     for (name, big, label) in [
         ("mcf", true, "64KB, 64B lines"),

@@ -3,15 +3,17 @@
 //! 64K-entry gshare, all benchmarks — plus the §5.3 aggregates (beq/bne
 //! share of branches and of mispredictions).
 //!
-//! Usage: `cargo run --release -p popk-bench --bin fig6 [instr_budget]`
+//! Usage: `cargo run --release -p popk-bench --bin fig6 [instr_budget]
+//! [--threads N]`
 
 use popk_bench::fmt::render;
-use popk_bench::{arg_limit, fig6};
+use popk_bench::{fig6, Cli};
 
 fn main() {
-    let limit = arg_limit();
+    let cli = Cli::parse();
+    let limit = cli.limit;
     println!("Figure 6: early branch misprediction detection ({limit} instructions, 64K gshare)\n");
-    let reports = fig6(limit);
+    let reports = fig6(limit, cli.threads);
 
     let bits = [1u32, 2, 4, 8, 16, 24, 31, 32];
     let header: Vec<String> = std::iter::once("benchmark".to_string())

@@ -15,14 +15,6 @@ use popk_bench::{rv32_report_with, Cli, HostMeter};
 fn main() {
     let cli = Cli::parse();
     let meter = HostMeter::start(cli.threads);
-    let mut rep = rv32_report_with(cli.limit, cli.threads, cli.oracle);
-    print!("{}", rep.text);
-    println!("{}", meter.summary());
-    if cli.json {
-        rep.artifact.set("host", meter.host_json());
-        rep.artifact.emit();
-    }
-    if rep.failures > 0 {
-        std::process::exit(1);
-    }
+    let rep = rv32_report_with(cli.limit, cli.threads, cli.oracle);
+    rep.finish(&cli, &meter, None);
 }

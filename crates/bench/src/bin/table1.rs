@@ -12,28 +12,12 @@
 //! mid-sweep replays its completed rows from the journal and reruns the
 //! interrupted row from instruction zero.
 
-use popk_bench::{table1_report_journaled, Cli, HostMeter, SweepJournal};
-use std::path::Path;
+use popk_bench::{table1_report_journaled, Cli, HostMeter};
 
 fn main() {
     let cli = Cli::parse();
-    let journal = SweepJournal::open(
-        Path::new(".popk"),
-        "table1",
-        cli.limit,
-        &format!("oracle={}", cli.oracle),
-        cli.resume,
-    );
+    let journal = cli.journal("table1", &format!("oracle={}", cli.oracle));
     let meter = HostMeter::start(cli.threads);
-    let mut rep = table1_report_journaled(cli.limit, cli.threads, cli.oracle, Some(&journal));
-    print!("{}", rep.text);
-    println!("{}", meter.summary());
-    if cli.json {
-        rep.artifact.set("host", meter.host_json());
-        rep.artifact.emit();
-    }
-    if rep.failures > 0 {
-        std::process::exit(1);
-    }
-    journal.finish();
+    let rep = table1_report_journaled(cli.limit, cli.threads, cli.oracle, Some(&journal));
+    rep.finish(&cli, &meter, Some(&journal));
 }

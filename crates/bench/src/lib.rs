@@ -6,15 +6,15 @@
 //! rows/series the paper reports; `EXPERIMENTS.md` records the measured
 //! output next to the paper's numbers.
 //!
-//! All runners accept a dynamic-instruction budget; the binaries read it
-//! from their first CLI argument (default [`DEFAULT_LIMIT`]) and accept
-//! `--json` to additionally write a machine-readable
-//! `BENCH_<figure>.json` artifact (see [`artifact`]). Sweeps fan their
-//! (workload × config) simulation jobs across a scoped job [`pool`]
-//! (`--threads N`, default all cores) and collect results in submission
-//! order, so artifacts are byte-identical at any thread count; each
-//! artifact carries a `host` block recording the sweep's wall-clock
-//! throughput.
+//! All runners accept a dynamic-instruction budget; every binary parses
+//! its command line through [`Cli`] (budget default [`DEFAULT_LIMIT`])
+//! and the report binaries accept `--json` to additionally write a
+//! machine-readable `BENCH_<figure>.json` artifact (see [`artifact`]).
+//! Sweeps fan their (workload × config) simulation jobs across a scoped
+//! job [`pool`] (`--threads N`, default all cores) and collect results
+//! in submission order, so artifacts are byte-identical at any thread
+//! count; each artifact carries a `host` block recording the sweep's
+//! wall-clock throughput.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,8 +38,8 @@ pub use reports::{
     rv32_report_with, table1_report_journaled, Report,
 };
 pub use runners::{
-    arg_limit, compare, fig11_journaled, fig12_from, fig2, fig4, fig6, parse_config, rv32_configs,
-    rv32_sweep, set_poisoned_workload, table1_journaled, Fig11Column, Fig11Data, Rv32Row,
-    SweepFailure, Table1Row, DEFAULT_LIMIT,
+    compare, fig11_journaled, fig12_from, fig2, fig4, fig6, parse_config, rv32_configs, rv32_sweep,
+    set_poisoned_workload, table1_journaled, Fig11Column, Fig11Data, Rv32Row, SweepFailure,
+    Table1Row, DEFAULT_LIMIT,
 };
 pub use serve::{Client, ClientError, RetryPolicy, ServeConfig, Server, PROTOCOL_VERSION};

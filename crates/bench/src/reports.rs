@@ -3,20 +3,21 @@
 //! tests.
 //!
 //! Each builder runs its sweep through the job [`crate::pool`] (one job
-//! per workload × configuration) and assembles both outputs from the
-//! submission-ordered results, so for a given (budget, workload set) the
-//! text and artifact are byte-identical at any thread count. The
-//! volatile `host` timing block is *not* attached here — the binaries
-//! add it from their [`crate::HostMeter`] just before writing, and
-//! artifact diffing strips it with `Json::remove("host")`.
-
-#![allow(clippy::useless_vec)] // row! builds Vec rows; headers reuse it
+//! per workload × configuration) and builds the artifact's row objects
+//! from the submission-ordered results; the printed tables and summary
+//! lines are then rendered from those same objects (see
+//! [`crate::fmt`]), so for a given (budget, workload set) the
+//! text and artifact are byte-identical at any thread count and cannot
+//! disagree. The volatile `host` timing block is *not* attached here —
+//! [`Report::finish`] adds it from the binary's [`HostMeter`] just
+//! before writing, and artifact diffing strips it with
+//! `Json::remove("host")`.
 
 use crate::artifact::counters_json;
-use crate::fmt::{f3, pct, render};
+use crate::fmt::{array, as_num, col, f3, field, num, num_at, pct, signed_pct, table, Column};
 use crate::journal::SweepJournal;
-use crate::runners::{self, drive_counted, sim, SweepFailure};
-use crate::{pool, row, Artifact, Fig11Data};
+use crate::runners::{self, drive_counted, geomean, sim, SweepFailure};
+use crate::{pool, Artifact, Cli, Fig11Data, HostMeter};
 use popk_bpred::{DirKind, FrontEndConfig};
 use popk_characterize::{BranchStudy, DisambigStudy, DistanceStudy, WidthStudy};
 use popk_core::{Json, MachineConfig, Optimizations};
@@ -44,37 +45,95 @@ macro_rules! say {
     ($buf:expr, $($arg:tt)*) => { let _ = writeln!($buf, $($arg)*); };
 }
 
-/// Render sweep failures as the artifact's `failures` array.
-fn failures_json(failures: &[SweepFailure]) -> Json {
-    failures
-        .iter()
-        .map(|f| {
-            let mut o = Json::object();
-            o.set("workload", f.workload.into());
-            o.set("config", f.config.as_str().into());
-            o.set("message", f.message.as_str().into());
-            o.set("attempts", Json::from(u64::from(f.attempts)));
-            o
-        })
-        .collect()
+/// A JSON object from `key => value` pairs, each value through
+/// `Json::from`, in the order given.
+macro_rules! obj {
+    ($($key:expr => $value:expr),* $(,)?) => {{
+        let mut o = Json::object();
+        $(o.set($key, Json::from($value));)*
+        o
+    }};
 }
 
-/// Append the failure lines to a report's text, if any.
-fn say_failures(text: &mut String, failures: &[SweepFailure]) {
-    if failures.is_empty() {
-        return;
-    }
-    say!(text, "\n{} job(s) FAILED:", failures.len());
-    for f in failures {
-        say!(
+impl Report {
+    /// Seal a report: when any job failed, append the `N job(s) FAILED`
+    /// lines to the text and the `failures` array to the artifact.
+    fn new(mut text: String, mut artifact: Artifact, failures: &[SweepFailure]) -> Report {
+        if !failures.is_empty() {
+            say!(text, "\n{} job(s) FAILED:", failures.len());
+            let mut list = Vec::new();
+            for f in failures {
+                let (workload, config, message) = (f.workload, &f.config, &f.message);
+                say!(
+                    text,
+                    "  {workload} [{config}]: {message} ({} attempt(s))",
+                    f.attempts
+                );
+                list.push(obj! {
+                    "workload" => workload,
+                    "config" => config.as_str(),
+                    "message" => message.as_str(),
+                    "attempts" => u64::from(f.attempts),
+                });
+            }
+            artifact.set("failures", Json::Array(list));
+        }
+        Report {
             text,
-            "  {} [{}]: {} ({} attempt(s))",
-            f.workload,
-            f.config,
-            f.message,
-            f.attempts
-        );
+            artifact,
+            failures: failures.len(),
+        }
     }
+
+    /// The tail every report binary shares: print the report and the
+    /// sweep summary, write the artifact with its `host` block under
+    /// `--json`, exit nonzero if any job failed, and only then retire
+    /// the sweep's journal — so an unsuccessful run stays resumable.
+    pub fn finish(mut self, cli: &Cli, meter: &HostMeter, journal: Option<&SweepJournal>) {
+        print!("{}", self.text);
+        println!("{}", meter.summary());
+        if cli.json {
+            self.artifact.set("host", meter.host_json());
+            self.artifact.emit();
+        }
+        if self.failures > 0 {
+            std::process::exit(1);
+        }
+        if let Some(j) = journal {
+            j.finish();
+        }
+    }
+}
+
+/// Per-workload artifact rows from sweep outcomes, plus the failures: a
+/// completed workload's row is `row(name, value)`, a failed one's
+/// `{name, error}`.
+fn outcome_rows<'a, T: 'a>(
+    outcomes: impl IntoIterator<Item = (&'static str, &'a Result<T, SweepFailure>)>,
+    row: impl Fn(&'static str, &T) -> Json,
+) -> (Vec<Json>, Vec<SweepFailure>) {
+    let mut failures = Vec::new();
+    let rows = outcomes
+        .into_iter()
+        .map(|(name, outcome)| match outcome {
+            Ok(v) => row(name, v),
+            Err(f) => {
+                failures.push(f.clone());
+                obj! { "name" => name, "error" => f.message.as_str() }
+            }
+        })
+        .collect();
+    (rows, failures)
+}
+
+/// The rows of an artifact array that completed (carry no `error`).
+fn completed(rows: &[Json]) -> impl Iterator<Item = &Json> {
+    rows.iter().filter(|r| r.get("error").is_none())
+}
+
+/// The leading column of every table: the row's `name`.
+fn name_col(header: &str) -> Column<'static> {
+    col(header, |r| field(r, "name"))
 }
 
 /// Load the named workloads' programs through the pool.
@@ -102,92 +161,55 @@ pub fn table1_report_journaled(
     oracle: bool,
     journal: Option<&SweepJournal>,
 ) -> Report {
+    let results = runners::table1_journaled(limit, threads, oracle, journal);
+    let named = results.iter().map(|r| {
+        let name = r.as_ref().map_or_else(|f| f.workload, |row| row.name);
+        (name, r)
+    });
+    let (workloads, failures) = outcome_rows(named, |name, r| {
+        obj! {
+            "name" => name,
+            "instructions" => r.instructions,
+            "ipc" => r.ipc,
+            "pct_loads" => r.pct_loads,
+            "pct_stores" => r.pct_stores,
+            "branch_accuracy" => r.branch_accuracy,
+        }
+    });
+    let mean_ipc = geomean(completed(&workloads).map(|w| num(w, "ipc")));
+
     let mut text = String::new();
     say!(
         text,
         "Table 1: benchmark characteristics (ideal machine, {limit} instructions)\n"
     );
-    let results = runners::table1_journaled(limit, threads, oracle, journal);
-    let rows: Vec<_> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
-    let failures: Vec<SweepFailure> = results
-        .iter()
-        .filter_map(|r| r.as_ref().err())
-        .cloned()
-        .collect();
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            row![
-                r.name,
-                r.instructions,
-                f3(r.ipc),
-                pct(r.pct_loads),
-                pct(r.pct_stores),
-                pct(r.branch_accuracy)
-            ]
-        })
-        .collect();
+    let cols = [
+        name_col("benchmark"),
+        col("instrs", |w| field(w, "instructions")),
+        col("IPC", |w| f3(num(w, "ipc"))),
+        col("% loads", |w| pct(num(w, "pct_loads"))),
+        col("% stores", |w| pct(num(w, "pct_stores"))),
+        col("branch acc", |w| pct(num(w, "branch_accuracy"))),
+    ];
+    say!(text, "{}", table(completed(&workloads), &cols));
+
+    let mut artifact = Artifact::new("table1", limit);
+    artifact.set("workloads", Json::Array(workloads));
+    artifact.set("geomean_ipc", Json::from(mean_ipc));
     say!(
         text,
-        "{}",
-        render(
-            &row![
-                "benchmark",
-                "instrs",
-                "IPC",
-                "% loads",
-                "% stores",
-                "branch acc"
-            ],
-            &table
-        )
+        "geometric-mean IPC: {:.3}",
+        num(artifact.json(), "geomean_ipc")
     );
-    let mean_ipc = (rows.iter().map(|r| r.ipc.ln()).sum::<f64>() / rows.len().max(1) as f64).exp();
-    say!(text, "geometric-mean IPC: {mean_ipc:.3}");
     if oracle {
+        artifact.set("oracle_lockstep", Json::from(true));
         say!(
             text,
             "oracle lockstep: every retirement cross-checked, {} divergence(s)",
             failures.len()
         );
     }
-    say_failures(&mut text, &failures);
-
-    let workloads: Vec<Json> = results
-        .iter()
-        .map(|r| match r {
-            Ok(r) => {
-                let mut o = Json::object();
-                o.set("name", r.name.into());
-                o.set("instructions", Json::from(r.instructions));
-                o.set("ipc", Json::from(r.ipc));
-                o.set("pct_loads", Json::from(r.pct_loads));
-                o.set("pct_stores", Json::from(r.pct_stores));
-                o.set("branch_accuracy", Json::from(r.branch_accuracy));
-                o
-            }
-            Err(f) => {
-                let mut o = Json::object();
-                o.set("name", f.workload.into());
-                o.set("error", f.message.as_str().into());
-                o
-            }
-        })
-        .collect();
-    let mut artifact = Artifact::new("table1", limit);
-    artifact.set("workloads", Json::Array(workloads));
-    artifact.set("geomean_ipc", Json::from(mean_ipc));
-    if oracle {
-        artifact.set("oracle_lockstep", Json::from(true));
-    }
-    if !failures.is_empty() {
-        artifact.set("failures", failures_json(&failures));
-    }
-    Report {
-        text,
-        artifact,
-        failures: failures.len(),
-    }
+    Report::new(text, artifact, &failures)
 }
 
 // ---- Fig. 11 ---------------------------------------------------------------
@@ -197,99 +219,33 @@ pub fn table1_report_journaled(
 /// snapshot, and the geomean summary lines.
 fn fig11_slice_json(data: &Fig11Data, by4: bool) -> Json {
     let cols = if by4 { &data.slice4 } else { &data.slice2 };
-    let workloads: Vec<Json> = cols
-        .iter()
-        .map(|c| {
-            let mut o = Json::object();
-            o.set("name", c.name.into());
-            o.set("ideal_ipc", Json::from(c.ideal_ipc));
-            o.set(
-                "level_ipc",
-                c.level_ipc.iter().map(|&v| Json::from(v)).collect(),
-            );
-            o.set("way_mispredict_rate", Json::from(c.way_mispredict_rate));
-            o.set("counters", counters_json(&c.full_stats));
-            o
-        })
-        .collect();
-    let mut s = Json::object();
-    s.set("workloads", Json::Array(workloads));
-    s.set(
-        "geomean_full_vs_ideal",
-        Json::from(data.mean_full_vs_ideal(by4)),
-    );
-    s.set("geomean_speedup", Json::from(data.mean_speedup(by4)));
-    s
+    let workloads = cols.iter().map(|c| {
+        obj! {
+            "name" => c.name,
+            "ideal_ipc" => c.ideal_ipc,
+            "level_ipc" => c.level_ipc.into_iter().collect::<Json>(),
+            "way_mispredict_rate" => c.way_mispredict_rate,
+            "counters" => counters_json(&c.full_stats),
+        }
+    });
+    obj! {
+        "workloads" => workloads.collect::<Json>(),
+        "geomean_full_vs_ideal" => data.mean_full_vs_ideal(by4),
+        "geomean_speedup" => data.mean_speedup(by4),
+    }
 }
+
+/// The Fig. 10 pipeline configurations heading the Fig. 11 report.
+const FIG10: &str = "Figure 10 pipeline configurations (frequency held constant):
+  base      : Fetch1..RF2 (12) | EX          | Mem RE CT
+  slice-by-2: Fetch1..RF2 (12) | EX1 EX2     | Mem RE CT
+  slice-by-4: Fetch1..RF2 (12) | EX1..EX4    | Mem RE CT (L1D 2 cycles)
+
+";
 
 /// Build the Fig. 11 report (IPC stacks for both slicings) from an
 /// already-run sweep.
 fn fig11_report_from(data: &Fig11Data, limit: u64) -> Report {
-    let mut text = String::new();
-    say!(
-        text,
-        "Figure 10 pipeline configurations (frequency held constant):"
-    );
-    say!(
-        text,
-        "  base      : Fetch1..RF2 (12) | EX          | Mem RE CT"
-    );
-    say!(
-        text,
-        "  slice-by-2: Fetch1..RF2 (12) | EX1 EX2     | Mem RE CT"
-    );
-    say!(
-        text,
-        "  slice-by-4: Fetch1..RF2 (12) | EX1..EX4    | Mem RE CT (L1D 2 cycles)\n"
-    );
-    say!(
-        text,
-        "Figure 11: IPC stacks ({limit} instructions per run)\n"
-    );
-
-    for (by4, cols) in [(false, &data.slice2), (true, &data.slice4)] {
-        let n = if by4 { 4 } else { 2 };
-        say!(text, "== {n} slices ==\n");
-        let header: Vec<String> = std::iter::once("benchmark".to_string())
-            .chain((0..=5).map(|l| Optimizations::level_name(l).to_string()))
-            .chain(std::iter::once("ideal".to_string()))
-            .collect();
-        let rows: Vec<Vec<String>> = cols
-            .iter()
-            .map(|c| {
-                let mut r = vec![c.name.to_string()];
-                r.extend(c.level_ipc.iter().map(|&v| f3(v)));
-                r.push(f3(c.ideal_ipc));
-                r
-            })
-            .collect();
-        say!(text, "{}", render(&header, &rows));
-
-        let vs_ideal = data.mean_full_vs_ideal(by4);
-        let speedup = data.mean_speedup(by4);
-        say!(
-            text,
-            "geomean: all-techniques IPC = {:.1}% of ideal ({}); speedup over simple pipelining = {:+.1}%\n",
-            100.0 * vs_ideal,
-            if by4 {
-                "paper: 18% below ideal"
-            } else {
-                "paper: within ~1% of ideal"
-            },
-            100.0 * (speedup - 1.0),
-        );
-        let avg_way_miss: f64 =
-            cols.iter().map(|c| c.way_mispredict_rate).sum::<f64>() / cols.len() as f64;
-        say!(
-            text,
-            "avg partial-tag way-mispredict rate: {:.1}% (paper: ~{}%)\n",
-            100.0 * avg_way_miss,
-            if by4 { 1 } else { 2 },
-        );
-    }
-
-    say_failures(&mut text, &data.failures);
-
     let mut artifact = Artifact::new("fig11", limit);
     artifact.set(
         "levels",
@@ -299,14 +255,46 @@ fn fig11_report_from(data: &Fig11Data, limit: u64) -> Report {
     );
     artifact.set("slice2", fig11_slice_json(data, false));
     artifact.set("slice4", fig11_slice_json(data, true));
-    if !data.failures.is_empty() {
-        artifact.set("failures", failures_json(&data.failures));
-    }
-    Report {
+
+    let mut text = String::from(FIG10);
+    say!(
         text,
-        artifact,
-        failures: data.failures.len(),
+        "Figure 11: IPC stacks ({limit} instructions per run)\n"
+    );
+
+    let mut cols = vec![name_col("benchmark")];
+    cols.extend((0..=5).map(|l| {
+        col(Optimizations::level_name(l), move |w| {
+            f3(num_at(w, "level_ipc", l))
+        })
+    }));
+    cols.push(col("ideal", |w| f3(num(w, "ideal_ipc"))));
+    for (n, key, paper_vs_ideal, paper_way_miss) in [
+        (2, "slice2", "paper: within ~1% of ideal", 2),
+        (4, "slice4", "paper: 18% below ideal", 1),
+    ] {
+        let slice = artifact.json().get(key).unwrap_or(&Json::Null);
+        let workloads = array(slice, "workloads");
+        say!(text, "== {n} slices ==\n");
+        say!(text, "{}", table(workloads, &cols));
+        say!(
+            text,
+            "geomean: all-techniques IPC = {:.1}% of ideal ({paper_vs_ideal}); speedup over simple pipelining = {:+.1}%\n",
+            100.0 * num(slice, "geomean_full_vs_ideal"),
+            100.0 * (num(slice, "geomean_speedup") - 1.0),
+        );
+        let avg_way_miss = workloads
+            .iter()
+            .map(|w| num(w, "way_mispredict_rate"))
+            .sum::<f64>()
+            / workloads.len() as f64;
+        say!(
+            text,
+            "avg partial-tag way-mispredict rate: {:.1}% (paper: ~{paper_way_miss}%)\n",
+            100.0 * avg_way_miss,
+        );
     }
+    Report::new(text, artifact, &data.failures)
 }
 
 /// Build the Fig. 11 report, running the sweep on `threads` workers;
@@ -351,93 +339,109 @@ pub fn fig12_report_journaled(
     let data = runners::fig11_journaled(limit, threads, journal);
     let mut artifact = Artifact::new("fig12", limit);
     artifact.set("techniques", FIG12_TECHS.iter().copied().collect());
-    for by4 in [false, true] {
-        let n = if by4 { 4 } else { 2 };
-        say!(text, "== {n} slices ==\n");
-        let header: Vec<String> = std::iter::once("benchmark".to_string())
-            .chain(FIG12_TECHS.iter().map(|s| s.to_string()))
-            .chain(std::iter::once("total".to_string()))
-            .collect();
-        let rows_data = runners::fig12_from(&data, by4);
-        let mut rows = Vec::new();
-        let mut jrows = Vec::new();
-        let mut new_tech_sum = 0.0;
-        for (name, contrib, total) in &rows_data {
-            let mut r = vec![name.to_string()];
-            r.extend(contrib.iter().map(|c| format!("{:+.1}%", 100.0 * c)));
-            r.push(format!("{:+.1}%", 100.0 * total));
-            rows.push(r);
-            // The paper's "new techniques" are everything past bypassing.
-            new_tech_sum += contrib[1..].iter().sum::<f64>();
-            let mut o = Json::object();
-            o.set("name", (*name).into());
-            o.set("contributions", contrib.iter().copied().collect());
-            o.set("total_speedup", Json::from(*total));
-            jrows.push(o);
-        }
-        say!(text, "{}", render(&header, &rows));
-        let bypass = data.mean_bypass_speedup(by4) - 1.0;
-        let total = data.mean_speedup(by4) - 1.0;
+    let mut cols = vec![name_col("benchmark")];
+    cols.extend(
+        FIG12_TECHS
+            .iter()
+            .enumerate()
+            .map(|(k, &tech)| col(tech, move |w| signed_pct(num_at(w, "contributions", k)))),
+    );
+    cols.push(col("total", |w| signed_pct(num(w, "total_speedup"))));
+    for (by4, key, paper_total, paper_new) in [
+        (false, "slice2", "+16%", "+8%"),
+        (true, "slice4", "+44%", "+13%"),
+    ] {
+        let workloads = runners::fig12_from(&data, by4).into_iter();
+        let slice = obj! {
+            "workloads" => workloads.map(|(name, contrib, total)| obj! {
+                "name" => name,
+                "contributions" => contrib.into_iter().collect::<Json>(),
+                "total_speedup" => total,
+            }).collect::<Json>(),
+            "geomean_total_speedup" => data.mean_speedup(by4) - 1.0,
+            "geomean_bypass_speedup" => data.mean_bypass_speedup(by4) - 1.0,
+        };
+
+        let workloads = array(&slice, "workloads");
+        say!(text, "== {} slices ==\n", if by4 { 4 } else { 2 });
+        say!(text, "{}", table(workloads, &cols));
+        // The paper's "new techniques" are everything past bypassing.
+        let new_tech_sum = workloads.iter().fold(0.0, |acc, w| {
+            acc + array(w, "contributions")[1..]
+                .iter()
+                .map(|c| as_num(Some(c)))
+                .sum::<f64>()
+        });
         say!(
             text,
-            "geomean total speedup {:+.1}% (paper: {}); bypassing alone {:+.1}%;\n\
-             new techniques add ~{:+.1}% on average (paper: {}).\n",
-            100.0 * total,
-            if by4 { "+44%" } else { "+16%" },
-            100.0 * bypass,
-            100.0 * new_tech_sum / rows_data.len() as f64,
-            if by4 { "+13%" } else { "+8%" },
+            "geomean total speedup {:+.1}% (paper: {paper_total}); bypassing alone {:+.1}%;\n\
+             new techniques add ~{:+.1}% on average (paper: {paper_new}).\n",
+            100.0 * num(&slice, "geomean_total_speedup"),
+            100.0 * num(&slice, "geomean_bypass_speedup"),
+            100.0 * new_tech_sum / workloads.len() as f64,
         );
-        let mut s = Json::object();
-        s.set("workloads", Json::Array(jrows));
-        s.set("geomean_total_speedup", Json::from(total));
-        s.set("geomean_bypass_speedup", Json::from(bypass));
-        artifact.set(if by4 { "slice4" } else { "slice2" }, s);
+        artifact.set(key, slice);
     }
-    say_failures(&mut text, &data.failures);
-    if !data.failures.is_empty() {
-        artifact.set("failures", failures_json(&data.failures));
-    }
-    Report {
-        text,
-        artifact,
-        failures: data.failures.len(),
-    }
+    Report::new(text, artifact, &data.failures)
 }
 
 // ---- Ablations -------------------------------------------------------------
 
-/// One journaled ablation section: replay the recorded `{text, value}`
-/// payload when the journal already has it, otherwise run the section
-/// and record it. The section's printed text and artifact value are
-/// byte-identical either way.
-fn journaled_section(
-    journal: Option<&SweepJournal>,
-    row: &str,
-    key: &str,
-    text: &mut String,
-    artifact: &mut Artifact,
-    run: impl FnOnce() -> (String, Json),
-) {
-    if let Some(done) = journal.and_then(|j| j.completed(row)) {
-        if let (Some(t), Some(v)) = (done.get("text").and_then(Json::as_str), done.get("value")) {
-            text.push_str(t);
-            artifact.set(key, v.clone());
-            return;
+/// The ablations report under construction: each section is journaled as
+/// one row whose payload is the section's artifact value alone.
+struct Sections<'j> {
+    journal: Option<&'j SweepJournal>,
+    text: String,
+    artifact: Artifact,
+}
+
+impl Sections<'_> {
+    /// One ablation section: replay the journaled `value` of `row` when
+    /// the journal has it, otherwise `run` the section and record
+    /// `{value}`. Either way the section's text — `title`, the table of
+    /// the value's row objects under `cols`, then `note` — is rendered
+    /// from the value, so a replayed section prints exactly like a fresh
+    /// one. (Journals that also stored a `text` copy replay the same.)
+    fn section(
+        &mut self,
+        row: &str,
+        key: &str,
+        title: &str,
+        cols: &[Column],
+        note: &str,
+        run: impl FnOnce() -> Vec<Json>,
+    ) {
+        let replayed = self
+            .journal
+            .and_then(|j| j.completed(row))
+            .and_then(|done| done.get("value"))
+            .cloned();
+        let value = replayed.unwrap_or_else(|| {
+            if let Some(j) = self.journal {
+                j.record_start(row);
+            }
+            let value = Json::Array(run());
+            if let Some(j) = self.journal {
+                j.record_done(row, obj! { "value" => value.clone() });
+            }
+            value
+        });
+        say!(self.text, "{title}\n");
+        say!(
+            self.text,
+            "{}",
+            table(value.as_array().unwrap_or_default(), cols)
+        );
+        if !note.is_empty() {
+            say!(self.text, "{note}");
         }
+        self.artifact.set(key, value);
     }
-    if let Some(j) = journal {
-        j.record_start(row);
-    }
-    let (t, v) = run();
-    if let Some(j) = journal {
-        let mut payload = Json::object();
-        payload.set("text", t.as_str().into());
-        payload.set("value", v.clone());
-        j.record_done(row, payload);
-    }
-    text.push_str(&t);
-    artifact.set(key, v);
+}
+
+/// A whole-percent cell of a fraction.
+fn pct0(v: f64) -> String {
+    format!("{:.0}%", 100.0 * v)
 }
 
 /// Build the ablations report (sweeps A–H beyond the paper's figures),
@@ -446,33 +450,40 @@ fn journaled_section(
 ///
 /// With a `journal` (`--resume`) the report is journaled at section
 /// granularity: each of the eight sections A–H is one journal row whose
-/// payload carries the section's exact text and artifact value, so a
-/// resumed run replays finished sections and re-runs only the
-/// interrupted one.
+/// payload carries the section's artifact value (its text is rendered
+/// from that value), so a resumed run replays finished sections and
+/// re-runs only the interrupted one.
 pub fn ablations_report_journaled(
     limit: u64,
     threads: usize,
     journal: Option<&SweepJournal>,
 ) -> Report {
-    let mut text = String::new();
     let names = ["gcc", "li", "twolf"];
     let progs = programs_for(&names, threads);
     let named_progs: Vec<(&str, &Program)> = names.iter().copied().zip(progs.iter()).collect();
-    let mut artifact = Artifact::new("ablations", limit);
+    let mut report = Sections {
+        journal,
+        text: String::new(),
+        artifact: Artifact::new("ablations", limit),
+    };
 
     // ---- A: gshare size sweep ----------------------------------------
-    journaled_section(
-        journal,
+    report.section(
         "ablations/A",
         "gshare_sweep",
-        &mut text,
-        &mut artifact,
+        &format!("Ablation A: gshare size vs. accuracy and 8-bit detection ({limit} instrs)"),
+        &[
+            name_col("benchmark"),
+            col("entries", |r| {
+                format!("{}K", (1u32 << num(r, "table_bits") as u32) / 1024)
+            }),
+            col("accuracy", |r| pct(num(r, "accuracy"))),
+            col("detect ≤8b", |r| {
+                format!("{:.0}%", num(r, "pct_detected_within_8b"))
+            }),
+        ],
+        "",
         || {
-            let mut text = String::new();
-            say!(
-                text,
-                "Ablation A: gshare size vs. accuracy and 8-bit detection ({limit} instrs)\n"
-            );
             let jobs: Vec<(&str, &Program, u32)> = named_progs
                 .iter()
                 .flat_map(|&(n, p)| [10u32, 12, 14, 16].map(|bits| (n, p, bits)))
@@ -482,50 +493,33 @@ pub fn ablations_report_journaled(
                 drive_counted(p, limit, &mut [&mut study]);
                 study.report()
             });
-            let mut rows = Vec::new();
-            let mut jrows = Vec::new();
-            for (&(name, _, bits), r) in jobs.iter().zip(&reports) {
-                rows.push(row![
-                    name,
-                    format!("{}K", (1u32 << bits) / 1024),
-                    format!("{:.1}%", 100.0 * r.accuracy()),
-                    format!("{:.0}%", r.percent_detected_within(8))
-                ]);
-                let mut o = Json::object();
-                o.set("name", name.into());
-                o.set("table_bits", Json::from(u64::from(bits)));
-                o.set("accuracy", Json::from(r.accuracy()));
-                o.set(
-                    "pct_detected_within_8b",
-                    Json::from(r.percent_detected_within(8)),
-                );
-                jrows.push(o);
-            }
-            say!(
-                text,
-                "{}",
-                render(
-                    &row!["benchmark", "entries", "accuracy", "detect ≤8b"],
-                    &rows
-                )
-            );
-            (text, Json::Array(jrows))
+            let rows = jobs.iter().zip(&reports);
+            rows.map(|(&(name, _, bits), r)| {
+                obj! {
+                    "name" => name,
+                    "table_bits" => u64::from(bits),
+                    "accuracy" => r.accuracy(),
+                    "pct_detected_within_8b" => r.percent_detected_within(8),
+                }
+            })
+            .collect()
         },
     );
 
     // ---- B: LSQ size sweep --------------------------------------------
-    journaled_section(
-        journal,
+    report.section(
         "ablations/B",
         "lsq_sweep",
-        &mut text,
-        &mut artifact,
+        "Ablation B: LSQ window vs. loads resolved after 9 bits",
+        &[
+            name_col("benchmark"),
+            col("LSQ", |r| field(r, "lsq_entries")),
+            col("resolved ≤9b", |r| {
+                format!("{:.1}%", num(r, "pct_resolved_within_9b"))
+            }),
+        ],
+        "",
         || {
-            let mut text = String::new();
-            say!(
-                text,
-                "Ablation B: LSQ window vs. loads resolved after 9 bits\n"
-            );
             let jobs: Vec<(&str, &Program, usize)> = named_progs
                 .iter()
                 .flat_map(|&(n, p)| [8usize, 16, 32, 64].map(|lsq| (n, p, lsq)))
@@ -535,47 +529,38 @@ pub fn ablations_report_journaled(
                 drive_counted(p, limit, &mut [&mut study]);
                 study.report()
             });
-            let mut rows = Vec::new();
-            let mut jrows = Vec::new();
-            for (&(name, _, lsq), r) in jobs.iter().zip(&reports) {
-                rows.push(row![name, lsq, format!("{:.1}%", r.resolved_after_bits(9))]);
-                let mut o = Json::object();
-                o.set("name", name.into());
-                o.set("lsq_entries", Json::from(lsq));
-                o.set(
-                    "pct_resolved_within_9b",
-                    Json::from(r.resolved_after_bits(9)),
-                );
-                jrows.push(o);
-            }
-            say!(
-                text,
-                "{}",
-                render(&row!["benchmark", "LSQ", "resolved ≤9b"], &rows)
-            );
-            (text, Json::Array(jrows))
+            let rows = jobs.iter().zip(&reports);
+            rows.map(|(&(name, _, lsq), r)| {
+                obj! {
+                    "name" => name,
+                    "lsq_entries" => lsq,
+                    "pct_resolved_within_9b" => r.resolved_after_bits(9),
+                }
+            })
+            .collect()
         },
     );
 
     // ---- C: direction predictor organization ---------------------------
-    journaled_section(
-        journal,
+    let kinds = [
+        ("gshare", DirKind::Gshare),
+        ("bimodal", DirKind::Bimodal),
+        ("local", DirKind::Local),
+        ("tournament", DirKind::Tournament),
+    ];
+    let mut cols = vec![name_col("benchmark")];
+    cols.extend(
+        kinds
+            .iter()
+            .map(|&(kname, _)| col(kname, move |r| f3(num(r, kname)))),
+    );
+    report.section(
         "ablations/C",
         "direction_predictor",
-        &mut text,
-        &mut artifact,
+        "Ablation C: direction predictor organization on slice-by-2 (all techniques)",
+        &cols,
+        "",
         || {
-            let mut text = String::new();
-            say!(
-                text,
-                "Ablation C: direction predictor organization on slice-by-2 (all techniques)\n"
-            );
-            let kinds = [
-                ("gshare", DirKind::Gshare),
-                ("bimodal", DirKind::Bimodal),
-                ("local", DirKind::Local),
-                ("tournament", DirKind::Tournament),
-            ];
             let jobs: Vec<(&Program, DirKind)> = progs
                 .iter()
                 .flat_map(|p| kinds.map(|(_, kind)| (p, kind)))
@@ -588,56 +573,44 @@ pub fn ablations_report_journaled(
                 };
                 sim(p, &cfg, limit).ipc()
             });
-            let mut rows = Vec::new();
-            let mut jrows = Vec::new();
-            for (&name, per_kind) in names.iter().zip(ipcs.chunks_exact(kinds.len())) {
-                let mut r = vec![name.to_string()];
-                let mut o = Json::object();
-                o.set("name", name.into());
-                for ((kname, _), &ipc) in kinds.iter().zip(per_kind) {
-                    r.push(f3(ipc));
+            let rows = names.iter().zip(ipcs.chunks_exact(kinds.len()));
+            rows.map(|(&name, per_kind)| {
+                let mut o = obj! { "name" => name };
+                for (&(kname, _), &ipc) in kinds.iter().zip(per_kind) {
                     o.set(kname, Json::from(ipc));
                 }
-                rows.push(r);
-                jrows.push(o);
-            }
-            say!(
-                text,
-                "{}",
-                render(
-                    &row!["benchmark", "gshare", "bimodal", "local", "tournament"],
-                    &rows
-                )
-            );
-            (text, Json::Array(jrows))
+                o
+            })
+            .collect()
         },
     );
 
     // ---- D: single-technique isolation ---------------------------------
-    journaled_section(
-        journal,
+    let single = |f: fn(&mut Optimizations)| {
+        let mut o = Optimizations::level(1);
+        f(&mut o);
+        o
+    };
+    let variants: [(&str, Optimizations); 5] = [
+        ("bypass only", Optimizations::level(1)),
+        ("+ooo slices", single(|o| o.ooo_slices = true)),
+        ("+early branch", single(|o| o.early_branch = true)),
+        ("+early disambig", single(|o| o.early_disambig = true)),
+        ("+partial tag", single(|o| o.partial_tag = true)),
+    ];
+    let mut cols = vec![name_col("benchmark")];
+    cols.extend(
+        variants
+            .iter()
+            .map(|&(vname, _)| col(vname, move |r| f3(num(r, vname)))),
+    );
+    report.section(
         "ablations/D",
         "single_technique",
-        &mut text,
-        &mut artifact,
+        "Ablation D: each technique alone on top of partial bypassing (slice-by-4)",
+        &cols,
+        "",
         || {
-            let mut text = String::new();
-            say!(
-                text,
-                "Ablation D: each technique alone on top of partial bypassing (slice-by-4)\n"
-            );
-            let single = |f: fn(&mut Optimizations)| {
-                let mut o = Optimizations::level(1);
-                f(&mut o);
-                o
-            };
-            let variants: [(&str, Optimizations); 5] = [
-                ("bypass only", Optimizations::level(1)),
-                ("+ooo slices", single(|o| o.ooo_slices = true)),
-                ("+early branch", single(|o| o.early_branch = true)),
-                ("+early disambig", single(|o| o.early_disambig = true)),
-                ("+partial tag", single(|o| o.partial_tag = true)),
-            ];
             let jobs: Vec<(&Program, Optimizations)> = progs
                 .iter()
                 .flat_map(|p| variants.map(|(_, opts)| (p, opts)))
@@ -645,40 +618,46 @@ pub fn ablations_report_journaled(
             let ipcs = pool::map_jobs(threads, &jobs, |&(p, opts)| {
                 sim(p, &MachineConfig::slice4(opts), limit).ipc()
             });
-            let mut rows = Vec::new();
-            let mut jrows = Vec::new();
-            for (&name, per_variant) in names.iter().zip(ipcs.chunks_exact(variants.len())) {
-                let mut r = vec![name.to_string()];
-                let mut o = Json::object();
-                o.set("name", name.into());
-                for ((vname, _), &ipc) in variants.iter().zip(per_variant) {
-                    r.push(f3(ipc));
+            let rows = names.iter().zip(ipcs.chunks_exact(variants.len()));
+            rows.map(|(&name, per_variant)| {
+                let mut o = obj! { "name" => name };
+                for (&(vname, _), &ipc) in variants.iter().zip(per_variant) {
                     o.set(vname, Json::from(ipc));
                 }
-                rows.push(r);
-                jrows.push(o);
-            }
-            let header: Vec<String> = std::iter::once("benchmark".to_string())
-                .chain(variants.iter().map(|(n, _)| n.to_string()))
-                .collect();
-            say!(text, "{}", render(&header, &rows));
-            (text, Json::Array(jrows))
+                o
+            })
+            .collect()
         },
     );
 
     // ---- E: paper-sketched extensions ----------------------------------
-    journaled_section(
-        journal,
+    report.section(
         "ablations/E",
         "extensions",
-        &mut text,
-        &mut artifact,
+        "Ablation E: paper-sketched extensions on top of all techniques (slice-by-2)",
+        &[
+            name_col("benchmark"),
+            col("all IPC", |r| f3(num(r, "all_ipc"))),
+            col("ext IPC", |r| f3(num(r, "extended_ipc"))),
+            col("ext gain", |r| {
+                signed_pct(num(r, "extended_ipc") / num(r, "all_ipc") - 1.0)
+            }),
+            col("spec fwd", |r| field(r, "spec_forwards")),
+            col("narrow", |r| field(r, "narrow_wakeups")),
+            col("sam", |r| field(r, "sam_starts")),
+            col("+memdep IPC", |r| f3(num(r, "memdep_ipc"))),
+            col("specs/viol", |r| {
+                format!(
+                    "{}/{}",
+                    field(r, "mem_dep_speculations"),
+                    field(r, "mem_dep_violations")
+                )
+            }),
+        ],
+        "`extended()` = spec-forward + narrow + sum-addressed; the memory\n\
+         dependence predictor is reported separately because its benefit is\n\
+         workload-dependent (see EXPERIMENTS.md).",
         || {
-            let mut text = String::new();
-            say!(
-                text,
-                "Ablation E: paper-sketched extensions on top of all techniques (slice-by-2)\n"
-            );
             let ext_names = ["gcc", "li", "twolf", "bzip", "vortex"];
             let ext_progs = programs_for(&ext_names, threads);
             let memdep = {
@@ -695,74 +674,43 @@ pub fn ablations_report_journaled(
             let stats = pool::map_jobs(threads, &jobs, |&(p, opts)| {
                 sim(p, &MachineConfig::slice2(opts), limit)
             });
-            let mut rows = Vec::new();
-            let mut jrows = Vec::new();
-            for (&name, runs) in ext_names.iter().zip(stats.chunks_exact(3)) {
+            let rows = ext_names.iter().zip(stats.chunks_exact(3));
+            rows.map(|(&name, runs)| {
                 let (full, ext, md) = (&runs[0], &runs[1], &runs[2]);
-                rows.push(row![
-                    name,
-                    f3(full.ipc()),
-                    f3(ext.ipc()),
-                    format!("{:+.1}%", 100.0 * (ext.ipc() / full.ipc() - 1.0)),
-                    ext.spec_forwards,
-                    ext.narrow_wakeups,
-                    ext.sam_starts,
-                    f3(md.ipc()),
-                    format!("{}/{}", md.mem_dep_speculations, md.mem_dep_violations)
-                ]);
-                let mut o = Json::object();
-                o.set("name", name.into());
-                o.set("all_ipc", Json::from(full.ipc()));
-                o.set("extended_ipc", Json::from(ext.ipc()));
-                o.set("spec_forwards", Json::from(ext.spec_forwards));
-                o.set("narrow_wakeups", Json::from(ext.narrow_wakeups));
-                o.set("sam_starts", Json::from(ext.sam_starts));
-                o.set("memdep_ipc", Json::from(md.ipc()));
-                o.set("mem_dep_speculations", Json::from(md.mem_dep_speculations));
-                o.set("mem_dep_violations", Json::from(md.mem_dep_violations));
-                jrows.push(o);
-            }
-            say!(
-                text,
-                "{}",
-                render(
-                    &row![
-                        "benchmark",
-                        "all IPC",
-                        "ext IPC",
-                        "ext gain",
-                        "spec fwd",
-                        "narrow",
-                        "sam",
-                        "+memdep IPC",
-                        "specs/viol"
-                    ],
-                    &rows
-                )
-            );
-            say!(
-                text,
-                "`extended()` = spec-forward + narrow + sum-addressed; the memory\n\
-                 dependence predictor is reported separately because its benefit is\n\
-                 workload-dependent (see EXPERIMENTS.md)."
-            );
-            (text, Json::Array(jrows))
+                obj! {
+                    "name" => name,
+                    "all_ipc" => full.ipc(),
+                    "extended_ipc" => ext.ipc(),
+                    "spec_forwards" => ext.spec_forwards,
+                    "narrow_wakeups" => ext.narrow_wakeups,
+                    "sam_starts" => ext.sam_starts,
+                    "memdep_ipc" => md.ipc(),
+                    "mem_dep_speculations" => md.mem_dep_speculations,
+                    "mem_dep_violations" => md.mem_dep_violations,
+                }
+            })
+            .collect()
         },
     );
 
     // ---- F: wrong-path fetch modeling ----------------------------------
-    journaled_section(
-        journal,
+    report.section(
         "ablations/F",
         "wrong_path",
-        &mut text,
-        &mut artifact,
+        "\nAblation F: wrong-path fetch modeling (phantoms vs. fetch stall)",
+        &[
+            name_col("benchmark"),
+            col("stall-model IPC", |r| f3(num(r, "stall_model_ipc"))),
+            col("phantom-model IPC", |r| f3(num(r, "phantom_model_ipc"))),
+            col("delta", |r| {
+                let ratio = num(r, "phantom_model_ipc") / num(r, "stall_model_ipc");
+                format!("{:+.2}%", 100.0 * (ratio - 1.0))
+            }),
+        ],
+        "Wrong-path pollution is second-order and non-monotone — the effect\n\
+         the paper credits for bzip/gzip/li slightly exceeding the ideal\n\
+         machine.",
         || {
-            let mut text = String::new();
-            say!(
-                text,
-                "\nAblation F: wrong-path fetch modeling (phantoms vs. fetch stall)\n"
-            );
             let wp_names = ["go", "gcc", "parser", "twolf"];
             let wp_progs = programs_for(&wp_names, threads);
             let jobs: Vec<(&Program, bool)> = wp_progs
@@ -774,154 +722,95 @@ pub fn ablations_report_journaled(
                 cfg.model_wrong_path = wrong_path;
                 sim(p, &cfg, limit)
             });
-            let mut rows = Vec::new();
-            let mut jrows = Vec::new();
-            for (&name, runs) in wp_names.iter().zip(stats.chunks_exact(2)) {
-                let (a, b) = (&runs[0], &runs[1]);
-                rows.push(row![
-                    name,
-                    f3(a.ipc()),
-                    f3(b.ipc()),
-                    format!("{:+.2}%", 100.0 * (b.ipc() / a.ipc() - 1.0))
-                ]);
-                let mut o = Json::object();
-                o.set("name", name.into());
-                o.set("stall_model_ipc", Json::from(a.ipc()));
-                o.set("phantom_model_ipc", Json::from(b.ipc()));
-                jrows.push(o);
-            }
-            say!(
-                text,
-                "{}",
-                render(
-                    &row!["benchmark", "stall-model IPC", "phantom-model IPC", "delta"],
-                    &rows
-                )
-            );
-            say!(
-                text,
-                "Wrong-path pollution is second-order and non-monotone — the effect\n\
-                 the paper credits for bzip/gzip/li slightly exceeding the ideal\n\
-                 machine."
-            );
-            (text, Json::Array(jrows))
+            let rows = wp_names.iter().zip(stats.chunks_exact(2));
+            rows.map(|(&name, runs)| {
+                obj! {
+                    "name" => name,
+                    "stall_model_ipc" => runs[0].ipc(),
+                    "phantom_model_ipc" => runs[1].ipc(),
+                }
+            })
+            .collect()
         },
     );
 
     // ---- G: operand width distribution ---------------------------------
     let workloads = popk_workloads::all();
-    journaled_section(
-        journal,
+    report.section(
         "ablations/G",
         "width_distribution",
-        &mut text,
-        &mut artifact,
+        "\nAblation G: result significant-width distribution (the §6 premise)",
+        &[
+            name_col("benchmark"),
+            col("≤8 bits", |r| pct0(num(r, "fraction_within_8b"))),
+            col("≤16 bits", |r| pct0(num(r, "fraction_within_16b"))),
+            col("≤24 bits", |r| pct0(num(r, "fraction_within_24b"))),
+            col("mean width", |r| {
+                format!("{:.1}", num(r, "mean_width_bits"))
+            }),
+        ],
+        "Most results are sign/zero extensions of a narrow low slice — the\n\
+         empirical basis for the narrow-operand extension (refs [3], [6]).",
         || {
-            let mut text = String::new();
-            say!(
-                text,
-                "\nAblation G: result significant-width distribution (the §6 premise)\n"
-            );
             let width_reports = pool::map_jobs(threads, &workloads, |w| {
                 let p = w.program();
                 let mut study = WidthStudy::new();
                 drive_counted(&p, limit, &mut [&mut study]);
                 study.report()
             });
-            let mut rows = Vec::new();
-            let mut jrows = Vec::new();
-            for (w, r) in workloads.iter().zip(&width_reports) {
-                rows.push(row![
-                    w.name,
-                    format!("{:.0}%", 100.0 * r.fraction_within(8)),
-                    format!("{:.0}%", 100.0 * r.fraction_within(16)),
-                    format!("{:.0}%", 100.0 * r.fraction_within(24)),
-                    format!("{:.1}", r.mean_width())
-                ]);
-                let mut o = Json::object();
-                o.set("name", w.name.into());
-                o.set("fraction_within_8b", Json::from(r.fraction_within(8)));
-                o.set("fraction_within_16b", Json::from(r.fraction_within(16)));
-                o.set("fraction_within_24b", Json::from(r.fraction_within(24)));
-                o.set("mean_width_bits", Json::from(r.mean_width()));
-                jrows.push(o);
-            }
-            say!(
-                text,
-                "{}",
-                render(
-                    &row!["benchmark", "≤8 bits", "≤16 bits", "≤24 bits", "mean width"],
-                    &rows
-                )
-            );
-            say!(
-                text,
-                "Most results are sign/zero extensions of a narrow low slice — the\n\
-                 empirical basis for the narrow-operand extension (refs [3], [6])."
-            );
-            (text, Json::Array(jrows))
+            let rows = workloads.iter().zip(&width_reports);
+            rows.map(|(w, r)| {
+                obj! {
+                    "name" => w.name,
+                    "fraction_within_8b" => r.fraction_within(8),
+                    "fraction_within_16b" => r.fraction_within(16),
+                    "fraction_within_24b" => r.fraction_within(24),
+                    "mean_width_bits" => r.mean_width(),
+                }
+            })
+            .collect()
         },
     );
 
     // ---- H: dependence distances ---------------------------------------
-    journaled_section(
-        journal,
+    report.section(
         "ablations/H",
         "dependence_distance",
-        &mut text,
-        &mut artifact,
+        "\nAblation H: producer→consumer dependence distances (the §2 motivation)",
+        &[
+            name_col("benchmark"),
+            col("d=1", |r| pct0(num(r, "fraction_within_1"))),
+            col("≤2", |r| pct0(num(r, "fraction_within_2"))),
+            col("≤4", |r| pct0(num(r, "fraction_within_4"))),
+            col("≤8", |r| pct0(num(r, "fraction_within_8"))),
+            col("mean", |r| format!("{:.1}", num(r, "mean_distance"))),
+        ],
+        "A third to half of all source operands come from the immediately\n\
+         preceding instructions — exactly the population naive EX\n\
+         pipelining penalizes and partial bypassing rescues (Fig. 1).",
         || {
-            let mut text = String::new();
-            say!(
-                text,
-                "\nAblation H: producer→consumer dependence distances (the §2 motivation)\n"
-            );
             let distance_reports = pool::map_jobs(threads, &workloads, |w| {
                 let p = w.program();
                 let mut study = DistanceStudy::new();
                 drive_counted(&p, limit, &mut [&mut study]);
                 study.report()
             });
-            let mut rows = Vec::new();
-            let mut jrows = Vec::new();
-            for (w, r) in workloads.iter().zip(&distance_reports) {
-                rows.push(row![
-                    w.name,
-                    format!("{:.0}%", 100.0 * r.fraction_within(1)),
-                    format!("{:.0}%", 100.0 * r.fraction_within(2)),
-                    format!("{:.0}%", 100.0 * r.fraction_within(4)),
-                    format!("{:.0}%", 100.0 * r.fraction_within(8)),
-                    format!("{:.1}", r.mean_distance())
-                ]);
-                let mut o = Json::object();
-                o.set("name", w.name.into());
-                o.set("fraction_within_1", Json::from(r.fraction_within(1)));
-                o.set("fraction_within_2", Json::from(r.fraction_within(2)));
-                o.set("fraction_within_4", Json::from(r.fraction_within(4)));
-                o.set("fraction_within_8", Json::from(r.fraction_within(8)));
-                o.set("mean_distance", Json::from(r.mean_distance()));
-                jrows.push(o);
-            }
-            say!(
-                text,
-                "{}",
-                render(&row!["benchmark", "d=1", "≤2", "≤4", "≤8", "mean"], &rows)
-            );
-            say!(
-                text,
-                "A third to half of all source operands come from the immediately\n\
-                 preceding instructions — exactly the population naive EX\n\
-                 pipelining penalizes and partial bypassing rescues (Fig. 1)."
-            );
-            (text, Json::Array(jrows))
+            let rows = workloads.iter().zip(&distance_reports);
+            rows.map(|(w, r)| {
+                obj! {
+                    "name" => w.name,
+                    "fraction_within_1" => r.fraction_within(1),
+                    "fraction_within_2" => r.fraction_within(2),
+                    "fraction_within_4" => r.fraction_within(4),
+                    "fraction_within_8" => r.fraction_within(8),
+                    "mean_distance" => r.mean_distance(),
+                }
+            })
+            .collect()
         },
     );
 
-    Report {
-        text,
-        artifact,
-        failures: 0,
-    }
+    Report::new(report.text, report.artifact, &[])
 }
 
 // ---- compare ---------------------------------------------------------------
@@ -931,73 +820,36 @@ pub fn ablations_report_journaled(
 pub fn compare_report(a_name: &str, b_name: &str, limit: u64, threads: usize) -> Option<Report> {
     let a_cfg = runners::parse_config(a_name)?;
     let b_cfg = runners::parse_config(b_name)?;
+    let pairs = runners::compare(&a_cfg, &b_cfg, limit, threads);
+    let (workloads, failures) = outcome_rows(
+        pairs.iter().map(|(name, pair)| (*name, pair)),
+        |name, (a, b)| {
+            obj! {
+                "name" => name,
+                "ipc_a" => a.ipc(),
+                "ipc_b" => b.ipc(),
+                "cycles_a" => a.cycles,
+                "cycles_b" => b.cycles,
+                "ipc_ratio" => a.ipc() / b.ipc(),
+            }
+        },
+    );
+
     let mut text = String::new();
     say!(
         text,
         "{a_name} vs {b_name} ({limit} instructions per run)\n"
     );
-    let pairs = runners::compare(&a_cfg, &b_cfg, limit, threads);
-
-    let mut rows = Vec::new();
-    let mut jrows = Vec::new();
-    let mut failures: Vec<SweepFailure> = Vec::new();
-    let mut log_sum = 0.0f64;
-    let mut ok_count = 0u32;
-    for (name, pair) in &pairs {
-        let (a, b) = match pair {
-            Ok(pair) => pair,
-            Err(f) => {
-                failures.push(f.clone());
-                let mut o = Json::object();
-                o.set("name", (*name).into());
-                o.set("error", f.message.as_str().into());
-                jrows.push(o);
-                continue;
-            }
-        };
-        let ratio = a.ipc() / b.ipc();
-        log_sum += ratio.ln();
-        ok_count += 1;
-        rows.push(row![
-            name,
-            f3(a.ipc()),
-            f3(b.ipc()),
-            format!("{:+.1}%", 100.0 * (ratio - 1.0)),
-            a.cycles,
-            b.cycles
-        ]);
-        let mut o = Json::object();
-        o.set("name", (*name).into());
-        o.set("ipc_a", Json::from(a.ipc()));
-        o.set("ipc_b", Json::from(b.ipc()));
-        o.set("cycles_a", Json::from(a.cycles));
-        o.set("cycles_b", Json::from(b.cycles));
-        o.set("ipc_ratio", Json::from(ratio));
-        jrows.push(o);
-    }
-    say!(
-        text,
-        "{}",
-        render(
-            &row![
-                "benchmark",
-                format!("{a_name} IPC"),
-                format!("{b_name} IPC"),
-                "delta",
-                format!("{a_name} cyc"),
-                format!("{b_name} cyc")
-            ],
-            &rows
-        )
-    );
-    let geo = (log_sum / f64::from(ok_count.max(1))).exp();
-    say!(
-        text,
-        "geomean IPC ratio {a_name}/{b_name}: {:.3} ({:+.1}%)",
-        geo,
-        100.0 * (geo - 1.0)
-    );
-    say_failures(&mut text, &failures);
+    let cols = [
+        name_col("benchmark"),
+        col(format!("{a_name} IPC"), |w| f3(num(w, "ipc_a"))),
+        col(format!("{b_name} IPC"), |w| f3(num(w, "ipc_b"))),
+        col("delta", |w| signed_pct(num(w, "ipc_ratio") - 1.0)),
+        col(format!("{a_name} cyc"), |w| field(w, "cycles_a")),
+        col(format!("{b_name} cyc"), |w| field(w, "cycles_b")),
+    ];
+    say!(text, "{}", table(completed(&workloads), &cols));
+    let geo = geomean(completed(&workloads).map(|w| num(w, "ipc_ratio")));
 
     let mut artifact = Artifact::new("compare", limit);
     artifact.set("config_a", a_name.into());
@@ -1012,19 +864,26 @@ pub fn compare_report(a_name: &str, b_name: &str, limit: u64, threads: usize) ->
         "config_b_hash",
         format!("{:016x}", b_cfg.fingerprint()).into(),
     );
-    artifact.set("workloads", Json::Array(jrows));
+    artifact.set("workloads", Json::Array(workloads));
     artifact.set("geomean_ipc_ratio", Json::from(geo));
-    if !failures.is_empty() {
-        artifact.set("failures", failures_json(&failures));
-    }
-    Some(Report {
+    let geo = num(artifact.json(), "geomean_ipc_ratio");
+    say!(
         text,
-        artifact,
-        failures: failures.len(),
-    })
+        "geomean IPC ratio {a_name}/{b_name}: {geo:.3} ({:+.1}%)",
+        100.0 * (geo - 1.0)
+    );
+    Some(Report::new(text, artifact, &failures))
 }
 
 // ---- RV32 ------------------------------------------------------------------
+
+/// The IPC a pivoted RV32 workload row recorded under config `label`.
+fn rv32_ipc(workload: &Json, label: &str) -> Option<f64> {
+    array(workload, "configs")
+        .iter()
+        .find(|c| c.get("config").and_then(Json::as_str) == Some(label))
+        .map(|c| num(c, "ipc"))
+}
 
 /// Build the RV32 sweep report: per-workload IPC across the
 /// configuration ladder of [`runners::rv32_configs`], through the same
@@ -1033,103 +892,78 @@ pub fn compare_report(a_name: &str, b_name: &str, limit: u64, threads: usize) ->
 /// against the commit stream, and any divergence becomes that row's
 /// failure.
 pub fn rv32_report_with(limit: u64, threads: usize, oracle: bool) -> Report {
-    let mut text = String::new();
-    say!(
-        text,
-        "RV32 sweep: IPC by machine configuration ({limit} instructions)\n"
-    );
-    let cfgs = runners::rv32_configs();
+    let labels: Vec<&str> = runners::rv32_configs()
+        .iter()
+        .map(|&(label, _)| label)
+        .collect();
     let results = runners::rv32_sweep(limit, threads, oracle);
-    let rows: Vec<_> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
     let failures: Vec<SweepFailure> = results
         .iter()
         .filter_map(|r| r.as_ref().err())
         .cloned()
         .collect();
 
-    // Matrix: one row per workload, one IPC column per configuration.
-    let names: Vec<&'static str> = {
-        let mut v: Vec<&'static str> = rows.iter().map(|r| r.workload).collect();
-        v.dedup();
-        v
-    };
-    let table: Vec<Vec<String>> = names
-        .iter()
-        .map(|&name| {
-            let mut cells = vec![name.to_string()];
-            for &(label, _) in &cfgs {
-                let cell = rows
-                    .iter()
-                    .find(|r| r.workload == name && r.config == label)
-                    .map_or_else(|| "-".into(), |r| f3(r.ipc));
-                cells.push(cell);
-            }
-            cells
-        })
-        .collect();
-    let mut header = vec!["workload".to_string()];
-    header.extend(cfgs.iter().map(|&(label, _)| label.to_string()));
-    say!(text, "{}", render(&header, &table));
-
-    // Geomean IPC per configuration over the workloads that completed.
-    let mut geo = Json::object();
-    for &(label, _) in &cfgs {
-        let ipcs: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.config == label)
-            .map(|r| r.ipc)
-            .collect();
-        if !ipcs.is_empty() {
-            let g = (ipcs.iter().map(|v| v.ln()).sum::<f64>() / ipcs.len() as f64).exp();
-            say!(text, "geomean IPC [{label}]: {g:.3}");
-            geo.set(label, Json::from(g));
-        }
-    }
-    if oracle {
-        say!(
-            text,
-            "oracle lockstep: every retirement cross-checked, {} divergence(s)",
-            failures.len()
-        );
-    }
-    say_failures(&mut text, &failures);
-
+    // One row per workload, pivoting its completed configs.
+    let rows: Vec<_> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
+    let mut names: Vec<&'static str> = rows.iter().map(|r| r.workload).collect();
+    names.dedup();
     let workloads: Vec<Json> = names
         .iter()
         .map(|&name| {
-            let mut o = Json::object();
-            o.set("name", name.into());
-            let configs: Vec<Json> = rows
-                .iter()
-                .filter(|r| r.workload == name)
-                .map(|r| {
-                    let mut c = Json::object();
-                    c.set("config", r.config.into());
-                    c.set("committed", Json::from(r.committed));
-                    c.set("cycles", Json::from(r.cycles));
-                    c.set("ipc", Json::from(r.ipc));
-                    c
-                })
-                .collect();
-            o.set("configs", Json::Array(configs));
-            o
+            let configs = rows.iter().filter(|r| r.workload == name).map(|r| {
+                obj! {
+                    "config" => r.config,
+                    "committed" => r.committed,
+                    "cycles" => r.cycles,
+                    "ipc" => r.ipc,
+                }
+            });
+            obj! { "name" => name, "configs" => configs.collect::<Json>() }
         })
         .collect();
+    // Geomean IPC per configuration over the workloads that completed.
+    let mut geo = Json::object();
+    for &label in &labels {
+        let ipcs: Vec<f64> = workloads
+            .iter()
+            .filter_map(|w| rv32_ipc(w, label))
+            .collect();
+        if !ipcs.is_empty() {
+            geo.set(label, Json::from(geomean(ipcs.into_iter())));
+        }
+    }
+
+    let mut text = String::new();
+    say!(
+        text,
+        "RV32 sweep: IPC by machine configuration ({limit} instructions)\n"
+    );
+    let mut cols = vec![col("workload", |w| field(w, "name"))];
+    cols.extend(labels.iter().map(|&label| {
+        col(label, move |w| {
+            rv32_ipc(w, label).map_or_else(|| "-".into(), f3)
+        })
+    }));
+    say!(text, "{}", table(&workloads, &cols));
+    if let Json::Object(pairs) = &geo {
+        for (label, g) in pairs {
+            say!(text, "geomean IPC [{label}]: {:.3}", as_num(Some(g)));
+        }
+    }
+
     let mut artifact = Artifact::new("rv32", limit);
     artifact.set("isa", "rv32".into());
     artifact.set("workloads", Json::Array(workloads));
     artifact.set("geomean_ipc", geo);
     if oracle {
         artifact.set("oracle_lockstep", Json::from(true));
+        say!(
+            text,
+            "oracle lockstep: every retirement cross-checked, {} divergence(s)",
+            failures.len()
+        );
     }
-    if !failures.is_empty() {
-        artifact.set("failures", failures_json(&failures));
-    }
-    Report {
-        text,
-        artifact,
-        failures: failures.len(),
-    }
+    Report::new(text, artifact, &failures)
 }
 
 #[cfg(test)]
@@ -1156,5 +990,39 @@ mod tests {
         assert_eq!(ws.len(), 11);
         // The host block is the binaries' job, not the builder's.
         assert!(rep.artifact.json().get("host").is_none());
+    }
+
+    #[test]
+    fn ablation_section_replays_its_journaled_value() {
+        const LIMIT: u64 = 3_000;
+        let dir =
+            std::env::temp_dir().join(format!("popk-ablations-replay-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A legacy section-A payload: `{text, value}`, where the text is
+        // garbage and the value carries a distinctive accuracy.
+        let row = obj! {
+            "name" => "gcc",
+            "table_bits" => 12u64,
+            "accuracy" => 0.4321,
+            "pct_detected_within_8b" => 77.0,
+        };
+        let value = Json::Array(vec![row]);
+        let payload = obj! { "text" => "GARBAGE-SECTION-TEXT\n", "value" => value.clone() };
+        SweepJournal::open(&dir, "ablations", LIMIT, "", false).record_done("ablations/A", payload);
+
+        let journal = SweepJournal::open(&dir, "ablations", LIMIT, "", true);
+        let rep = ablations_report_journaled(LIMIT, 2, Some(&journal));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Replayed, not re-run: the artifact carries the forged value.
+        assert_eq!(rep.artifact.json().get("gshare_sweep"), Some(&value));
+        // The printed section is rendered from that value.
+        assert!(!rep.text.contains("GARBAGE"));
+        let line = rep
+            .text
+            .lines()
+            .find(|l| l.starts_with("gcc ") && l.contains("43.2%"))
+            .expect("forged row printed from its value");
+        assert!(line.contains("4K") && line.ends_with("77%"), "{line}");
     }
 }

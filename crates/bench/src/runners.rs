@@ -16,17 +16,8 @@ use std::sync::Mutex;
 /// 500 M per benchmark on native hardware; this default keeps a full
 /// figure regeneration in the minutes range on one host while leaving the
 /// steady-state behaviour representative. Every binary accepts a budget
-/// as its first CLI argument.
+/// on its command line (see [`crate::Cli`]).
 pub const DEFAULT_LIMIT: u64 = 200_000;
-
-/// Read the dynamic-instruction budget from the first CLI argument
-/// (used by every report binary), falling back to [`DEFAULT_LIMIT`].
-pub fn arg_limit() -> u64 {
-    std::env::args()
-        .nth(1)
-        .and_then(|a| a.replace('_', "").parse().ok())
-        .unwrap_or(DEFAULT_LIMIT)
-}
 
 // ---- sweep throughput meter ------------------------------------------------
 
@@ -122,26 +113,6 @@ pub struct SweepFailure {
     pub attempts: u32,
 }
 
-impl SweepFailure {
-    fn from_sim(workload: &'static str, config: &str, e: &SimError) -> SweepFailure {
-        SweepFailure {
-            workload,
-            config: config.to_string(),
-            message: e.to_string(),
-            attempts: 1,
-        }
-    }
-
-    fn from_panic(workload: &'static str, config: &str, f: pool::JobFailure) -> SweepFailure {
-        SweepFailure {
-            workload,
-            config: config.to_string(),
-            message: f.message,
-            attempts: pool::JOB_ATTEMPTS,
-        }
-    }
-}
-
 /// Test seam for the panic-isolation path: a workload name whose sweep
 /// jobs panic on entry, simulating a poisoned job without needing a
 /// genuinely crashing simulation. `None` (the default) disables it.
@@ -171,6 +142,41 @@ pub(crate) fn poison_check(name: &str) {
     }
 }
 
+/// Run a panic-isolated sweep: `run` on every job across `threads` pool
+/// workers, each behind the [`poison_check`] seam, with results in
+/// submission order. `id` names a job's (workload, config label); a
+/// typed simulator error fails its row after one attempt, a panic after
+/// [`pool::JOB_ATTEMPTS`].
+fn try_sweep<J: Sync, T: Send>(
+    threads: usize,
+    jobs: &[J],
+    id: impl Fn(&J) -> (&'static str, &'static str) + Sync,
+    run: impl Fn(&J) -> Result<T, SimError> + Sync,
+) -> Vec<Result<T, SweepFailure>> {
+    let results = pool::try_map_jobs(threads, jobs, |job| {
+        poison_check(id(job).0);
+        run(job)
+    });
+    results
+        .into_iter()
+        .zip(jobs)
+        .map(|(r, job)| {
+            let (workload, config) = id(job);
+            let (message, attempts) = match r {
+                Ok(Ok(v)) => return Ok(v),
+                Ok(Err(e)) => (e.to_string(), 1),
+                Err(f) => (f.message, pool::JOB_ATTEMPTS),
+            };
+            Err(SweepFailure {
+                workload,
+                config: config.to_string(),
+                message,
+                attempts,
+            })
+        })
+        .collect()
+}
+
 /// [`drive`] (functional emulation for the characterization studies)
 /// plus meter accounting of the instructions actually traced.
 pub(crate) fn drive_counted(
@@ -180,12 +186,6 @@ pub(crate) fn drive_counted(
 ) {
     let n = drive(program, limit, sinks).expect("emulation");
     meter_record(n);
-}
-
-/// Run `f` for every workload across the job pool, returning results in
-/// the registry order.
-fn per_workload<T: Send>(threads: usize, f: impl Fn(&Workload) -> T + Sync) -> Vec<T> {
-    pool::map_jobs(threads, &all(), f)
 }
 
 // ---- Table 1 --------------------------------------------------------------
@@ -222,31 +222,25 @@ pub fn table1_journaled(
     oracle: bool,
     journal: Option<&SweepJournal>,
 ) -> Vec<Result<Table1Row, SweepFailure>> {
-    let workloads = all();
-    let results = pool::try_map_jobs(threads, &workloads, |w| {
-        poison_check(w.name);
-        let p = w.program();
-        let mut cfg = MachineConfig::ideal();
-        cfg.oracle = oracle;
-        let row = format!("table1/{}", w.name);
-        journaled_sim(journal, &row, &p, &cfg, limit).map(|s| Table1Row {
-            name: w.name,
-            instructions: s.committed,
-            ipc: s.ipc(),
-            pct_loads: s.load_fraction(),
-            pct_stores: s.stores as f64 / s.committed.max(1) as f64,
-            branch_accuracy: s.branch_accuracy(),
-        })
-    });
-    results
-        .into_iter()
-        .zip(&workloads)
-        .map(|(r, w)| match r {
-            Ok(Ok(row)) => Ok(row),
-            Ok(Err(e)) => Err(SweepFailure::from_sim(w.name, "ideal", &e)),
-            Err(f) => Err(SweepFailure::from_panic(w.name, "ideal", f)),
-        })
-        .collect()
+    try_sweep(
+        threads,
+        &all(),
+        |w| (w.name, "ideal"),
+        |w| {
+            let p = w.program();
+            let mut cfg = MachineConfig::ideal();
+            cfg.oracle = oracle;
+            let row = format!("table1/{}", w.name);
+            journaled_sim(journal, &row, &p, &cfg, limit).map(|s| Table1Row {
+                name: w.name,
+                instructions: s.committed,
+                ipc: s.ipc(),
+                pct_loads: s.load_fraction(),
+                pct_stores: s.stores as f64 / s.committed.max(1) as f64,
+                branch_accuracy: s.branch_accuracy(),
+            })
+        },
+    )
 }
 
 // ---- Fig. 2 ---------------------------------------------------------------
@@ -292,9 +286,9 @@ pub fn fig4(name: &str, big: bool, limit: u64) -> Vec<TagMatchReport> {
 // ---- Fig. 6 ---------------------------------------------------------------
 
 /// Reproduce Fig. 6: per-benchmark misprediction-detection CDFs with a
-/// 64K-entry gshare.
-pub fn fig6(limit: u64) -> Vec<(&'static str, BranchReport)> {
-    per_workload(pool::default_threads(), |w| {
+/// 64K-entry gshare, one job per workload across `threads` pool workers.
+pub fn fig6(limit: u64, threads: usize) -> Vec<(&'static str, BranchReport)> {
+    pool::map_jobs(threads, &all(), |w| {
         let p = w.program();
         let mut study = BranchStudy::table2();
         drive_counted(&p, limit, &mut [&mut study]);
@@ -362,19 +356,14 @@ pub fn fig11_journaled(limit: u64, threads: usize, journal: Option<&SweepJournal
             }
         }
     }
-    let stats = pool::try_map_jobs(threads, &jobs, |&(name, p, label, cfg)| {
-        poison_check(name);
-        journaled_sim(journal, &format!("fig11/{name}/{label}"), p, &cfg, limit)
-    });
-    let outcomes: Vec<Result<SimStats, SweepFailure>> = stats
-        .into_iter()
-        .zip(&jobs)
-        .map(|(r, &(name, _, label, _))| match r {
-            Ok(Ok(s)) => Ok(s),
-            Ok(Err(e)) => Err(SweepFailure::from_sim(name, label, &e)),
-            Err(f) => Err(SweepFailure::from_panic(name, label, f)),
-        })
-        .collect();
+    let outcomes = try_sweep(
+        threads,
+        &jobs,
+        |&(name, _, label, _)| (name, label),
+        |&(name, p, label, cfg)| {
+            journaled_sim(journal, &format!("fig11/{name}/{label}"), p, &cfg, limit)
+        },
+    );
 
     let mut results = outcomes.into_iter();
     let mut data = Fig11Data {
@@ -456,7 +445,8 @@ impl Fig11Data {
     }
 }
 
-fn geomean(vals: impl Iterator<Item = f64>) -> f64 {
+/// Geometric mean of `vals` (1.0 for none).
+pub(crate) fn geomean(vals: impl Iterator<Item = f64>) -> f64 {
     let (mut log_sum, mut n) = (0.0f64, 0u32);
     for v in vals {
         log_sum += v.ln();
@@ -532,51 +522,36 @@ pub fn compare(
     // Config identity is the fingerprint (the same helper the artifact
     // cache keys on): identical configs under two labels run once per
     // workload and the stat pair is the duplicated result.
-    if a.fingerprint() == b.fingerprint() {
-        let jobs: Vec<(&'static str, &Program)> = workloads
-            .iter()
-            .zip(&programs)
-            .map(|(w, p)| (w.name, p))
-            .collect();
-        let stats = pool::try_map_jobs(threads, &jobs, |&(name, p)| {
-            poison_check(name);
-            try_sim(p, a, limit)
-        });
-        return stats
-            .into_iter()
-            .zip(&jobs)
-            .map(|(r, &(name, _))| {
-                let pair = match r {
-                    Ok(Ok(s)) => Ok((s, s)),
-                    Ok(Err(e)) => Err(SweepFailure::from_sim(name, "A", &e)),
-                    Err(f) => Err(SweepFailure::from_panic(name, "A", f)),
-                };
-                (name, pair)
-            })
-            .collect();
-    }
+    let same = a.fingerprint() == b.fingerprint();
+    let cfgs: &[(&'static str, MachineConfig)] = if same {
+        &[("A", *a)]
+    } else {
+        &[("A", *a), ("B", *b)]
+    };
     let jobs: Vec<(&'static str, &Program, &'static str, MachineConfig)> = workloads
         .iter()
         .zip(&programs)
-        .flat_map(|(w, p)| [(w.name, p, "A", *a), (w.name, p, "B", *b)])
+        .flat_map(|(w, p)| {
+            cfgs.iter()
+                .map(move |&(label, cfg)| (w.name, p, label, cfg))
+        })
         .collect();
-    let stats = pool::try_map_jobs(threads, &jobs, |&(name, p, _, cfg)| {
-        poison_check(name);
-        try_sim(p, &cfg, limit)
-    });
-    let mut results = stats
-        .into_iter()
-        .zip(&jobs)
-        .map(|(r, &(name, _, label, _))| match r {
-            Ok(Ok(s)) => Ok(s),
-            Ok(Err(e)) => Err(SweepFailure::from_sim(name, label, &e)),
-            Err(f) => Err(SweepFailure::from_panic(name, label, f)),
-        });
+    let mut results = try_sweep(
+        threads,
+        &jobs,
+        |&(name, _, label, _)| (name, label),
+        |&(_, p, _, cfg)| try_sim(p, &cfg, limit),
+    )
+    .into_iter();
     workloads
         .iter()
         .map(|w| {
             let sa = results.next().expect("config A run");
-            let sb = results.next().expect("config B run");
+            let sb = if same {
+                sa.clone()
+            } else {
+                results.next().expect("config B run")
+            };
             let pair = match (sa, sb) {
                 (Ok(sa), Ok(sb)) => Ok((sa, sb)),
                 (Err(f), _) | (_, Err(f)) => Err(f),
@@ -644,28 +619,23 @@ pub fn rv32_sweep(limit: u64, threads: usize, oracle: bool) -> Vec<Result<Rv32Ro
                 .map(move |&(label, cfg)| (w.name, p, label, cfg))
         })
         .collect();
-    let stats = pool::try_map_jobs(threads, &jobs, |&(name, p, _, mut cfg)| {
-        poison_check(name);
-        cfg.oracle = oracle;
-        let s = popk_core::try_simulate_frontend(&cfg, popk_rv32::Rv32Frontend::new(p, limit))?;
-        meter_record(s.committed);
-        Ok::<SimStats, SimError>(s)
-    });
-    stats
-        .into_iter()
-        .zip(&jobs)
-        .map(|(r, &(workload, _, config, _))| match r {
-            Ok(Ok(s)) => Ok(Rv32Row {
+    try_sweep(
+        threads,
+        &jobs,
+        |&(workload, _, config, _)| (workload, config),
+        |&(workload, p, config, mut cfg)| {
+            cfg.oracle = oracle;
+            let s = popk_core::try_simulate_frontend(&cfg, popk_rv32::Rv32Frontend::new(p, limit))?;
+            meter_record(s.committed);
+            Ok(Rv32Row {
                 workload,
                 config,
                 committed: s.committed,
                 cycles: s.cycles,
                 ipc: s.ipc(),
-            }),
-            Ok(Err(e)) => Err(SweepFailure::from_sim(workload, config, &e)),
-            Err(f) => Err(SweepFailure::from_panic(workload, config, f)),
-        })
-        .collect()
+            })
+        },
+    )
 }
 
 #[cfg(test)]
@@ -718,7 +688,7 @@ mod tests {
 
     #[test]
     fn fig6_reports() {
-        let reports = fig6(QUICK);
+        let reports = fig6(QUICK, 2);
         assert_eq!(reports.len(), 11);
         let total_br: u64 = reports.iter().map(|(_, r)| r.branches).sum();
         assert!(total_br > 1000);
